@@ -17,7 +17,8 @@ class Function;
 
 class BasicBlock {
  public:
-  BasicBlock(Function* parent, std::string name) : parent_(parent), name_(std::move(name)) {}
+  BasicBlock(Function* parent, std::string name, unsigned number)
+      : parent_(parent), name_(std::move(name)), number_(number) {}
   ~BasicBlock();
 
   BasicBlock(const BasicBlock&) = delete;
@@ -30,6 +31,12 @@ class BasicBlock {
   [[nodiscard]] Function* parent() const noexcept { return parent_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
+  /// Dense per-function id, unique for the function's lifetime (never
+  /// reused after erase_block) and below Function::block_number_bound().
+  /// Analyses index vectors by it. It is never observable: the printer, the
+  /// fingerprint, features and artifacts must not read it, because clones
+  /// renumber their blocks.
+  [[nodiscard]] unsigned number() const noexcept { return number_; }
 
   // ---- Instruction access ----
   [[nodiscard]] std::size_t size() const noexcept { return insts_.size(); }
@@ -97,6 +104,7 @@ class BasicBlock {
 
   Function* parent_;
   std::string name_;
+  unsigned number_;
   std::vector<std::unique_ptr<Instruction>> insts_;
   std::vector<BasicBlock*> preds_;
 };

@@ -9,22 +9,29 @@ namespace autophase::ir {
 
 namespace {
 
-void post_order_visit(BasicBlock* bb, std::unordered_set<BasicBlock*>& visited,
-                      std::vector<BasicBlock*>& out) {
-  // Iterative DFS; successor order preserved for determinism.
+/// Iterative DFS from entry marking `visited` (indexed by block number) and
+/// appending blocks in post-order; successor order is preserved for
+/// determinism.
+void post_order_visit(Function& f, std::vector<char>& visited, std::vector<BasicBlock*>& out) {
+  BasicBlock* entry = f.entry();
+  visited.assign(f.block_number_bound(), 0);
+  if (entry == nullptr) return;
   struct Frame {
     BasicBlock* bb;
-    std::vector<BasicBlock*> succs;
-    std::size_t next = 0;
+    std::size_t next;
   };
   std::vector<Frame> stack;
-  visited.insert(bb);
-  stack.push_back({bb, bb->successors()});
+  visited[entry->number()] = 1;
+  stack.push_back({entry, 0});
   while (!stack.empty()) {
     Frame& top = stack.back();
-    if (top.next < top.succs.size()) {
-      BasicBlock* s = top.succs[top.next++];
-      if (visited.insert(s).second) stack.push_back({s, s->successors()});
+    const Instruction* term = top.bb->terminator();
+    if (term != nullptr && top.next < term->successor_count()) {
+      BasicBlock* s = term->successor(top.next++);
+      if (visited[s->number()] == 0) {
+        visited[s->number()] = 1;
+        stack.push_back({s, 0});
+      }
     } else {
       out.push_back(top.bb);
       stack.pop_back();
@@ -36,8 +43,8 @@ void post_order_visit(BasicBlock* bb, std::unordered_set<BasicBlock*>& visited,
 
 std::vector<BasicBlock*> post_order(Function& f) {
   std::vector<BasicBlock*> out;
-  std::unordered_set<BasicBlock*> visited;
-  if (f.entry() != nullptr) post_order_visit(f.entry(), visited, out);
+  std::vector<char> visited;
+  post_order_visit(f, visited, out);
   return out;
 }
 
@@ -47,10 +54,10 @@ std::vector<BasicBlock*> reverse_post_order(Function& f) {
   return out;
 }
 
-std::unordered_set<BasicBlock*> reachable_blocks(Function& f) {
-  std::unordered_set<BasicBlock*> visited;
+std::vector<char> reachable_blocks(Function& f) {
+  std::vector<char> visited;
   std::vector<BasicBlock*> out;
-  if (f.entry() != nullptr) post_order_visit(f.entry(), visited, out);
+  post_order_visit(f, visited, out);
   return visited;
 }
 
@@ -58,17 +65,16 @@ std::size_t remove_unreachable_blocks(Function& f) {
   const auto reachable = reachable_blocks(f);
   std::vector<BasicBlock*> dead;
   for (BasicBlock* bb : f.blocks()) {
-    if (!reachable.contains(bb)) dead.push_back(bb);
+    if (reachable[bb->number()] == 0) dead.push_back(bb);
   }
   if (dead.empty()) return 0;
 
-  const std::unordered_set<BasicBlock*> dead_set(dead.begin(), dead.end());
   // Fix survivors: drop phi incomings from dead blocks.
   for (BasicBlock* bb : f.blocks()) {
-    if (dead_set.contains(bb)) continue;
+    if (reachable[bb->number()] == 0) continue;
     for (Instruction* phi : bb->phis()) {
       for (int i = static_cast<int>(phi->incoming_count()) - 1; i >= 0; --i) {
-        if (dead_set.contains(phi->incoming_block(static_cast<std::size_t>(i)))) {
+        if (reachable[phi->incoming_block(static_cast<std::size_t>(i))->number()] == 0) {
           phi->remove_incoming(static_cast<std::size_t>(i));
         }
       }

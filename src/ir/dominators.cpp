@@ -1,28 +1,27 @@
 #include "ir/dominators.hpp"
 
-#include <cassert>
-
 #include "ir/cfg.hpp"
 
 namespace autophase::ir {
 
 DominatorTree::DominatorTree(Function& f) {
   rpo_ = reverse_post_order(f);
-  for (std::size_t i = 0; i < rpo_.size(); ++i) index_[rpo_[i]] = static_cast<int>(i);
+  index_.assign(f.block_number_bound(), -1);
+  for (std::size_t i = 0; i < rpo_.size(); ++i) index_[rpo_[i]->number()] = static_cast<int>(i);
 
   idom_.assign(rpo_.size(), -1);
   if (rpo_.empty()) return;
   idom_[0] = 0;  // entry dominated by itself (sentinel)
 
+  // Duplicate predecessor entries are harmless: intersect is idempotent.
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 1; i < rpo_.size(); ++i) {
       int new_idom = -1;
-      for (BasicBlock* pred : rpo_[i]->unique_predecessors()) {
-        const auto it = index_.find(pred);
-        if (it == index_.end()) continue;  // unreachable pred
-        const int p = it->second;
+      for (const BasicBlock* pred : rpo_[i]->predecessors()) {
+        const int p = index_[pred->number()];
+        if (p < 0) continue;                                             // unreachable pred
         if (idom_[static_cast<std::size_t>(p)] < 0 && p != 0) continue;  // not yet processed
         new_idom = new_idom < 0 ? p : intersect(p, new_idom);
       }
@@ -47,21 +46,17 @@ int DominatorTree::intersect(int a, int b) const {
   return a;
 }
 
-int DominatorTree::index_of(const BasicBlock* bb) const {
-  const auto it = index_.find(bb);
-  assert(it != index_.end() && "query on unreachable block");
-  return it->second;
-}
-
 BasicBlock* DominatorTree::idom(const BasicBlock* bb) const {
-  const int i = index_of(bb);
-  if (i == 0) return nullptr;
+  const int i = rpo_index(bb);
+  if (i <= 0) return nullptr;
   return rpo_[static_cast<std::size_t>(idom_[static_cast<std::size_t>(i)])];
 }
 
 bool DominatorTree::dominates(const BasicBlock* a, const BasicBlock* b) const {
-  const int ia = index_of(a);
-  int ib = index_of(b);
+  int ib = rpo_index(b);
+  if (ib < 0) return true;
+  const int ia = rpo_index(a);
+  if (ia < 0) return false;
   while (ib > ia) ib = idom_[static_cast<std::size_t>(ib)];
   return ib == ia;
 }
@@ -75,7 +70,8 @@ bool DominatorTree::value_dominates(const Value* def, const Instruction* user,
   if (def_bb == nullptr) return false;
 
   // A phi's use of an incoming value happens "at the end of" the incoming
-  // block, not in the phi's block.
+  // block, not in the phi's block. When that block is unreachable the edge
+  // never executes, and dominates() answers true.
   const BasicBlock* use_bb;
   if (user->is_phi()) {
     use_bb = user->incoming_block(operand_index);
@@ -91,7 +87,9 @@ bool DominatorTree::value_dominates(const Value* def, const Instruction* user,
 }
 
 const std::vector<BasicBlock*>& DominatorTree::children(const BasicBlock* bb) const {
-  return children_[static_cast<std::size_t>(index_of(bb))];
+  static const std::vector<BasicBlock*> kNone;
+  const int i = rpo_index(bb);
+  return i < 0 ? kNone : children_[static_cast<std::size_t>(i)];
 }
 
 std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> DominatorTree::dominance_frontiers()

@@ -83,6 +83,11 @@ class Function {
   }
   /// Snapshot of block pointers (safe to iterate during mutation).
   [[nodiscard]] std::vector<BasicBlock*> blocks() const;
+  /// Every block's number() is below this; sizes number-indexed tables.
+  [[nodiscard]] unsigned block_number_bound() const {
+    materialize();
+    return next_block_number_;
+  }
 
   /// Create and append a block.
   BasicBlock* create_block(std::string name);
@@ -120,6 +125,7 @@ class Function {
   Type* return_type_;
   std::vector<std::unique_ptr<Argument>> args_;
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
+  unsigned next_block_number_ = 0;
   FunctionAttrs attrs_;
   const Function* cow_source_ = nullptr;
 };

@@ -1,13 +1,20 @@
 #include "ir/loop_info.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
 
 namespace autophase::ir {
 
+Loop::Loop(BasicBlock* header, std::vector<BasicBlock*> blocks)
+    : header_(header), blocks_(std::move(blocks)) {
+  unsigned bound = 0;
+  for (const BasicBlock* bb : blocks_) bound = std::max(bound, bb->number() + 1);
+  members_.assign(bound, false);
+  for (const BasicBlock* bb : blocks_) members_[bb->number()] = true;
+}
+
 bool Loop::contains(const BasicBlock* bb) const noexcept {
-  return std::find(blocks_.begin(), blocks_.end(), bb) != blocks_.end();
+  return bb != nullptr && bb->number() < members_.size() && members_[bb->number()] &&
+         bb->parent() == header_->parent();
 }
 
 bool Loop::contains(const Loop* other) const noexcept {
@@ -89,49 +96,50 @@ bool Loop::has_dedicated_exits() const {
 }
 
 LoopInfo::LoopInfo(Function& f, const DominatorTree& dt) {
-  (void)f;  // the dominator tree carries the reachable-block order
-  // 1. Find back edges tail->header (header dominates tail), grouped by header.
-  //    Use a map ordered by RPO position for determinism.
-  std::map<int, BasicBlock*> header_order;  // rpo index -> header
-  std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> backedges;
   const auto& rpo = dt.rpo();
-  std::unordered_map<const BasicBlock*, int> rpo_index;
-  for (std::size_t i = 0; i < rpo.size(); ++i) rpo_index[rpo[i]] = static_cast<int>(i);
-
-  for (BasicBlock* bb : rpo) {
-    for (BasicBlock* succ : bb->successors()) {
-      if (dt.is_reachable(succ) && dt.dominates(succ, bb)) {
-        backedges[succ].push_back(bb);
-        header_order.emplace(rpo_index.at(succ), succ);
+  // 1. Find back edges tail->header (header dominates tail), grouped by the
+  //    header's RPO index so loops come out in header RPO order.
+  std::vector<std::vector<std::size_t>> latches(rpo.size());
+  for (std::size_t t = 0; t < rpo.size(); ++t) {
+    const Instruction* term = rpo[t]->terminator();
+    for (std::size_t k = 0; term != nullptr && k < term->successor_count(); ++k) {
+      const BasicBlock* succ = term->successor(k);
+      if (dt.dominates(succ, rpo[t])) {
+        latches[static_cast<std::size_t>(dt.rpo_index(succ))].push_back(t);
       }
     }
   }
 
   // 2. For each header, collect the natural loop: header + all blocks that
-  //    reach a latch without passing through the header. The header is
-  //    seeded into the membership set first so the reverse walk never
-  //    expands through it (self-loop latches included).
-  for (const auto& [order, header] : header_order) {
-    (void)order;
-    std::vector<BasicBlock*> blocks{header};
-    std::unordered_set<BasicBlock*> in_loop{header};
-    std::vector<BasicBlock*> worklist;
-    for (BasicBlock* latch : backedges.at(header)) {
-      if (dt.is_reachable(latch) && in_loop.insert(latch).second) worklist.push_back(latch);
-    }
+  //    reach a latch without passing through the header. Membership is an
+  //    RPO-indexed stamp holding the header's index; the header is stamped
+  //    first so the reverse walk never expands through it (self-loop
+  //    latches included).
+  std::vector<std::size_t> stamp(rpo.size(), rpo.size());
+  std::vector<std::size_t> members, worklist;
+  for (std::size_t h = 0; h < rpo.size(); ++h) {
+    if (latches[h].empty()) continue;
+    const auto claim = [&](std::size_t b) {
+      if (stamp[b] == h) return;
+      stamp[b] = h;
+      worklist.push_back(b);
+    };
+    stamp[h] = h;
+    members.clear();
+    for (const std::size_t latch : latches[h]) claim(latch);
     while (!worklist.empty()) {
-      BasicBlock* bb = worklist.back();
+      const std::size_t b = worklist.back();
       worklist.pop_back();
-      blocks.push_back(bb);
-      for (BasicBlock* p : bb->unique_predecessors()) {
-        if (dt.is_reachable(p) && in_loop.insert(p).second) worklist.push_back(p);
+      members.push_back(b);
+      for (const BasicBlock* p : rpo[b]->predecessors()) {
+        if (const int i = dt.rpo_index(p); i >= 0) claim(static_cast<std::size_t>(i));
       }
     }
     // Keep header first, rest in deterministic (RPO) order.
-    std::sort(blocks.begin() + 1, blocks.end(), [&](BasicBlock* a, BasicBlock* b) {
-      return rpo_index.at(a) < rpo_index.at(b);
-    });
-    loops_.push_back(std::make_unique<Loop>(header, std::move(blocks)));
+    std::sort(members.begin(), members.end());
+    std::vector<BasicBlock*> blocks{rpo[h]};
+    for (const std::size_t b : members) blocks.push_back(rpo[b]);
+    loops_.push_back(std::make_unique<Loop>(rpo[h], std::move(blocks)));
   }
 
   // 3. Build the nesting forest by block-set containment. Sort by size so a
@@ -154,9 +162,10 @@ LoopInfo::LoopInfo(Function& f, const DominatorTree& dt) {
   }
 
   // 4. Innermost-loop map: smallest loop containing each block.
+  innermost_.assign(f.block_number_bound(), nullptr);
   for (Loop* l : by_size) {
-    for (BasicBlock* bb : l->blocks()) {
-      if (!innermost_.contains(bb)) innermost_[bb] = l;
+    for (const BasicBlock* bb : l->blocks()) {
+      if (innermost_[bb->number()] == nullptr) innermost_[bb->number()] = l;
     }
   }
 }
@@ -180,8 +189,9 @@ std::vector<Loop*> LoopInfo::loops_innermost_first() const {
 }
 
 Loop* LoopInfo::loop_for(const BasicBlock* bb) const {
-  const auto it = innermost_.find(bb);
-  return it == innermost_.end() ? nullptr : it->second;
+  if (bb == nullptr || bb->number() >= innermost_.size()) return nullptr;
+  Loop* l = innermost_[bb->number()];
+  return l != nullptr && l->contains(bb) ? l : nullptr;
 }
 
 int LoopInfo::depth_of(const BasicBlock* bb) const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,11 +16,12 @@ namespace autophase::ir {
 
 class Loop {
  public:
-  Loop(BasicBlock* header, std::vector<BasicBlock*> blocks)
-      : header_(header), blocks_(std::move(blocks)) {}
+  Loop(BasicBlock* header, std::vector<BasicBlock*> blocks);
 
   [[nodiscard]] BasicBlock* header() const noexcept { return header_; }
   [[nodiscard]] const std::vector<BasicBlock*>& blocks() const noexcept { return blocks_; }
+  /// O(1). False for nullptr, for blocks created after the loop was built
+  /// and for blocks of other functions.
   [[nodiscard]] bool contains(const BasicBlock* bb) const noexcept;
   [[nodiscard]] bool contains(const Loop* other) const noexcept;
 
@@ -52,6 +52,7 @@ class Loop {
 
   BasicBlock* header_;
   std::vector<BasicBlock*> blocks_;  // header first
+  std::vector<bool> members_;        // block number -> in blocks_
   Loop* parent_ = nullptr;
   std::vector<Loop*> subloops_;
 };
@@ -65,7 +66,8 @@ class LoopInfo {
   [[nodiscard]] std::vector<Loop*> all_loops() const;
   /// Every loop, innermost first (safe order for transforms).
   [[nodiscard]] std::vector<Loop*> loops_innermost_first() const;
-  /// Innermost loop containing bb, or nullptr.
+  /// Innermost loop containing bb, or nullptr (also for blocks created
+  /// after the build).
   [[nodiscard]] Loop* loop_for(const BasicBlock* bb) const;
   /// Loop nesting depth of a block (0 = not in any loop).
   [[nodiscard]] int depth_of(const BasicBlock* bb) const;
@@ -73,7 +75,7 @@ class LoopInfo {
  private:
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<Loop*> top_level_;
-  std::unordered_map<const BasicBlock*, Loop*> innermost_;
+  std::vector<Loop*> innermost_;  // block number -> innermost loop
 };
 
 }  // namespace autophase::ir

@@ -1139,6 +1139,9 @@ class CorrelatedPropagationPass final : public Pass {
     DominatorTree dt(f);
     bool changed = false;
     for (BasicBlock* bb : f.blocks()) {
+      // An unreachable branch's regions are unreachable too: no facts to
+      // propagate, and no dominance to ask about.
+      if (!dt.is_reachable(bb)) continue;
       Instruction* term = bb->terminator();
       if (term == nullptr || term->opcode() != Opcode::kCondBr) continue;
       Value* cond = term->operand(0);

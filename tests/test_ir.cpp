@@ -209,6 +209,126 @@ TEST(Dominators, DiamondDominance) {
   EXPECT_EQ(t_df[0], j);
 }
 
+TEST(BasicBlock, NumbersAreDenseAndNeverReused) {
+  Module m("num");
+  Function* f = m.create_function("main", Type::i32(), {});
+  BasicBlock* a = f->create_block("a");
+  BasicBlock* b = f->create_block("b");
+  BasicBlock* c = f->create_block_after(a, "c");
+  EXPECT_EQ(a->number(), 0u);
+  EXPECT_EQ(b->number(), 1u);
+  EXPECT_EQ(c->number(), 2u);
+  EXPECT_EQ(f->block_number_bound(), 3u);
+  f->erase_block(b);
+  BasicBlock* d = f->create_block("d");
+  EXPECT_EQ(d->number(), 3u);
+  EXPECT_EQ(f->block_number_bound(), 4u);
+  // Numbers are per function.
+  Function* g = m.create_function("g", Type::i32(), {});
+  EXPECT_EQ(g->create_block("entry")->number(), 0u);
+}
+
+TEST(BasicBlock, NumbersNeverReachThePrinter) {
+  // The same loop built twice; the second function burns block numbers
+  // first, so every block number differs between the two.
+  const auto build = [](unsigned skipped) {
+    auto m = std::make_unique<Module>("num");
+    Function* f = m->create_function("main", Type::i32(), {});
+    for (unsigned i = 0; i < skipped; ++i) f->erase_block(f->create_block("skip"));
+    BasicBlock* entry = f->create_block("entry");
+    BasicBlock* header = f->create_block("header");
+    BasicBlock* exit = f->create_block("exit");
+    IRBuilder b(*m);
+    b.set_insert_point(entry);
+    b.br(header);
+    b.set_insert_point(header);
+    Instruction* iv = b.phi(Type::i32(), "i");
+    Value* next = b.add(iv, m->get_i32(1), "next");
+    b.cond_br(b.icmp_slt(next, m->get_i32(10)), header, exit);
+    iv->add_incoming(m->get_i32(0), entry);
+    iv->add_incoming(next, header);
+    b.set_insert_point(exit);
+    b.ret(next);
+    return m;
+  };
+  const auto a = build(0);
+  const auto b = build(5);
+  EXPECT_NE(a->main()->entry()->number(), b->main()->entry()->number());
+  EXPECT_EQ(print_module(*a), print_module(*b));
+  EXPECT_EQ(module_fingerprint(*a), module_fingerprint(*b));
+}
+
+/// entry -> {t, e} -> j, plus `dead` (no predecessors) branching to j.
+struct DiamondWithDeadBlock {
+  Module m{"dead"};
+  Function* f = m.create_function("main", Type::i32(), {});
+  BasicBlock* entry = f->create_block("entry");
+  BasicBlock* t = f->create_block("t");
+  BasicBlock* e = f->create_block("e");
+  BasicBlock* dead = f->create_block("dead");
+  BasicBlock* j = f->create_block("j");
+  Value* x = nullptr;
+  Instruction* phi = nullptr;
+
+  DiamondWithDeadBlock() {
+    IRBuilder b(m);
+    b.set_insert_point(entry);
+    x = b.add(m.get_i32(2), m.get_i32(3), "x");
+    b.cond_br(m.get_i1(true), t, e);
+    b.set_insert_point(t);
+    b.br(j);
+    b.set_insert_point(e);
+    b.br(j);
+    b.set_insert_point(dead);
+    b.br(j);
+    b.set_insert_point(j);
+    phi = b.phi(Type::i32(), "p");
+    phi->add_incoming(x, t);
+    phi->add_incoming(x, e);
+    phi->add_incoming(x, dead);
+    b.ret(phi);
+  }
+};
+
+TEST(Dominators, QueriesOutsideTheTreeAreDefined) {
+  DiamondWithDeadBlock d;
+  DominatorTree dt(*d.f);
+  EXPECT_FALSE(dt.is_reachable(d.dead));
+  EXPECT_EQ(dt.rpo_index(d.dead), -1);
+  EXPECT_EQ(dt.idom(d.dead), nullptr);
+  EXPECT_TRUE(dt.children(d.dead).empty());
+  // As in LLVM: an unreachable block is dominated by every block and
+  // dominates no reachable one.
+  EXPECT_TRUE(dt.dominates(d.entry, d.dead));
+  EXPECT_TRUE(dt.dominates(d.j, d.dead));
+  EXPECT_TRUE(dt.dominates(d.dead, d.dead));
+  EXPECT_FALSE(dt.dominates(d.dead, d.j));
+  EXPECT_FALSE(dt.dominates(d.dead, d.entry));
+  EXPECT_FALSE(dt.strictly_dominates(d.dead, d.dead));
+
+  // Blocks created after the build and blocks of other functions are
+  // outside the tree too, even when their number is in range.
+  BasicBlock* late = d.f->create_block("late");
+  EXPECT_FALSE(dt.is_reachable(late));
+  EXPECT_FALSE(dt.dominates(late, d.j));
+  Function* g = d.m.create_function("g", Type::i32(), {});
+  BasicBlock* other = g->create_block("entry");
+  EXPECT_EQ(other->number(), d.entry->number());
+  EXPECT_FALSE(dt.is_reachable(other));
+  EXPECT_EQ(dt.rpo_index(other), -1);
+  EXPECT_EQ(dt.rpo_index(d.entry), 0);
+}
+
+TEST(Verifier, PhiUseOnEdgeFromUnreachableBlock) {
+  // The use of x on the edge dead -> j never executes, so x dominates it;
+  // the verifier used to assert on the dominance query instead.
+  DiamondWithDeadBlock d;
+  DominatorTree dt(*d.f);
+  EXPECT_TRUE(dt.value_dominates(d.x, d.phi, 2));
+  EXPECT_TRUE(dt.value_dominates(d.x, d.phi, 0));
+  EXPECT_TRUE(verify_function(*d.f).is_ok());
+}
+
 TEST(LoopInfo, SimpleLoopStructure) {
   Module m("loop");
   Function* f = m.create_function("main", Type::i32(), {});
@@ -245,6 +365,27 @@ TEST(LoopInfo, SimpleLoopStructure) {
   EXPECT_TRUE(loop->has_dedicated_exits());
   EXPECT_EQ(li.depth_of(body), 1);
   EXPECT_EQ(li.depth_of(entry), 0);
+}
+
+TEST(LoopInfo, BlocksOutsideTheAnalysis) {
+  auto m = progen::build_chstone_like("matmul");
+  Function* f = m->main();
+  DominatorTree dt(*f);
+  LoopInfo li(*f, dt);
+  ASSERT_FALSE(li.top_level().empty());
+  const Loop* loop = li.top_level()[0];
+  BasicBlock* late = f->create_block("late");
+  EXPECT_EQ(li.loop_for(late), nullptr);
+  EXPECT_EQ(li.depth_of(late), 0);
+  EXPECT_FALSE(loop->contains(late));
+  EXPECT_FALSE(loop->contains(static_cast<const BasicBlock*>(nullptr)));
+  for (const BasicBlock* bb : loop->blocks()) EXPECT_TRUE(loop->contains(bb));
+  // A block of another function whose number equals the header's.
+  Function* g = m->create_function("other", Type::i32(), {});
+  BasicBlock* alien = g->create_block("alien");
+  while (alien->number() < loop->header()->number()) alien = g->create_block("alien");
+  EXPECT_FALSE(loop->contains(alien));
+  EXPECT_EQ(li.loop_for(alien), nullptr);
 }
 
 TEST(LoopInfo, NestedLoopsDepth) {

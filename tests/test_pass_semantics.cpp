@@ -6,6 +6,8 @@
 // environment generates).
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "interp/interpreter.hpp"
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
@@ -162,6 +164,22 @@ TEST_P(RandomSequenceOnKernel, PreservesSemantics) {
 INSTANTIATE_TEST_SUITE_P(AllKernels, RandomSequenceOnKernel,
                          ::testing::ValuesIn(progen::chstone_benchmark_names()),
                          [](const auto& info) { return info.param; });
+
+// ---- Regressions from random candidates ----
+
+// -correlated-propagation asked the dominator tree about the region under an
+// unreachable conditional branch and crashed.
+TEST(CorrelatedPropagation, SkipsUnreachableBranches) {
+  auto m = progen::generate_filtered_program(448148495473631327ull);
+  const Observed before = observe(*m);
+  std::istringstream repro(
+      "36 18 16 36 37 16 43 25 40 10 27 10 18 42 23 21 8 37 41 35 39 12 12 25 0");
+  std::vector<int> seq;
+  for (int pass = 0; repro >> pass;) seq.push_back(pass);
+  ASSERT_EQ(seq.size(), 25u);
+  passes::apply_pass_sequence(*m, seq);
+  expect_equivalent(before, *m, "program 448148495473631327 after the repro sequence");
+}
 
 }  // namespace
 }  // namespace autophase
