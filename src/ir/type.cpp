@@ -35,15 +35,6 @@ std::size_t Type::size_in_bytes() const noexcept {
   return 0;
 }
 
-std::string Type::to_string() const {
-  switch (kind_) {
-    case TypeKind::kVoid: return "void";
-    case TypeKind::kInt: return "i" + std::to_string(bits_);
-    case TypeKind::kPointer: return pointee_->to_string() + "*";
-  }
-  return "?";
-}
-
 // Each scalar singleton is constructed once and registered with the leaky
 // table so all Type* stay valid for the process lifetime.
 #define AUTOPHASE_DEFINE_SCALAR_TYPE(NAME, KIND, BITS)                        \

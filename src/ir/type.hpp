@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace autophase::ir {
 
@@ -29,8 +28,6 @@ class Type {
 
   /// Storage size used by the interpreter / HLS memory model.
   [[nodiscard]] std::size_t size_in_bytes() const noexcept;
-
-  [[nodiscard]] std::string to_string() const;
 
   // Interned singletons.
   static Type* void_ty();

@@ -3,6 +3,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "ir/printer.hpp"
 #include "serve/module_codec.hpp"
 #include "support/log.hpp"
 
@@ -61,11 +62,14 @@ std::vector<ReplayedRecord> replay_records(std::vector<ProvenanceRecord> records
     }
     ReplayedRecord replayed;
     replayed.module = std::move(module).value();
-    replayed.baseline = eval.measure(*replayed.module);
+    // Keyed by the decoded program's own fingerprint: the record's field is
+    // wire-originated too, and measure_sequence trusts the key it is given.
+    const std::uint64_t fingerprint = ir::module_fingerprint(*replayed.module);
+    replayed.baseline = eval.measure(*replayed.module, fingerprint);
     replayed.sequence_cycles =
         record.sequence.empty()
             ? replayed.baseline.cycles
-            : eval.measure_sequence(*replayed.module, record.fingerprint, record.sequence).cycles;
+            : eval.measure_sequence(*replayed.module, fingerprint, record.sequence).cycles;
     replayed.record = std::move(record);
     out.push_back(std::move(replayed));
   }

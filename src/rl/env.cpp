@@ -1,6 +1,7 @@
 #include "rl/env.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "ir/clone.hpp"
@@ -45,6 +46,13 @@ EvaluationCache::EvaluationCache(std::shared_ptr<runtime::EvalService> service)
 std::uint64_t EvaluationCache::cycles(const ir::Module& m) {
   bool sampled = false;
   const std::uint64_t c = service_->cycles(m, &sampled);
+  if (sampled) ++samples_;
+  return c;
+}
+
+std::uint64_t EvaluationCache::cycles(const ir::Module& m, std::uint64_t fingerprint) {
+  bool sampled = false;
+  const std::uint64_t c = service_->measure(m, fingerprint, &sampled).cycles;
   if (sampled) ++samples_;
   return c;
 }
@@ -98,12 +106,13 @@ std::vector<double> PhaseOrderEnv::reset() {
   // CoW rollout clone: the base program outlives the env, and bodies only
   // deep-copy when the first pass of the episode mutates them.
   working_ = ir::clone_module_for_rollout(*programs_[program_index_]);
+  fingerprint_valid_ = false;
   histogram_.assign(action_arity(), 0.0);
   applied_.clear();
   steps_ = 0;
   episode_return_ = 0.0;
   if (!inference_) {
-    prev_cycles_ = cache_.cycles(*working_);
+    prev_cycles_ = cache_.cycles(*working_, working_fingerprint());
     if (baseline_[program_index_] == 0) baseline_[program_index_] = prev_cycles_;
     note_cycles(prev_cycles_);
   }
@@ -117,7 +126,18 @@ void PhaseOrderEnv::note_cycles(std::uint64_t cycles) {
   }
 }
 
-std::uint64_t PhaseOrderEnv::current_cycles() { return cache_.cycles(*working_); }
+std::uint64_t PhaseOrderEnv::working_fingerprint() {
+  if (!fingerprint_valid_) {
+    fingerprint_ = ir::module_fingerprint(*working_);
+    fingerprint_valid_ = true;
+  }
+  assert(fingerprint_ == ir::module_fingerprint(*working_));
+  return fingerprint_;
+}
+
+std::uint64_t PhaseOrderEnv::current_cycles() {
+  return cache_.cycles(*working_, working_fingerprint());
+}
 
 std::uint64_t PhaseOrderEnv::baseline_cycles(std::size_t program_index) {
   if (baseline_[program_index] == 0) {
@@ -142,11 +162,11 @@ StepResult PhaseOrderEnv::step(const std::vector<std::size_t>& action) {
   const bool is_terminate = config_.include_terminate && a + 1 == action_arity();
   if (!is_terminate) {
     const int pass_index = effective_actions_[a];
-    passes::apply_pass(*working_, pass_index);
+    if (passes::apply_pass(*working_, pass_index)) fingerprint_valid_ = false;
     applied_.push_back(pass_index);
     histogram_[a] += 1.0;
     if (!inference_) {
-      const std::uint64_t cycles = cache_.cycles(*working_);
+      const std::uint64_t cycles = cache_.cycles(*working_, working_fingerprint());
       const double delta = static_cast<double>(prev_cycles_) - static_cast<double>(cycles);
       prev_cycles_ = cycles;
       note_cycles(cycles);

@@ -91,6 +91,8 @@ class EvaluationCache {
 
   /// Cycle count of `m` (cache hit does not count as a sample).
   std::uint64_t cycles(const ir::Module& m);
+  /// Same, with `m`'s module fingerprint already known to the caller.
+  std::uint64_t cycles(const ir::Module& m, std::uint64_t fingerprint);
 
   /// Cycles of `program` after `sequence`, through the service's secondary
   /// (program, sequence) key: a repeat evaluation skips cloning and pass
@@ -126,7 +128,10 @@ class PhaseOrderEnv final : public Env {
   /// Inference mode: no cycle evaluation per step (rewards are zero); the
   /// final performance is measured once by the caller — this is what makes
   /// Fig. 9's "1 sample per program" possible.
-  void set_inference_mode(bool on) noexcept { inference_ = on; }
+  void set_inference_mode(bool on) noexcept {
+    inference_ = on;
+    fingerprint_valid_ = false;
+  }
 
   [[nodiscard]] std::size_t samples() const noexcept { return cache_.samples(); }
   [[nodiscard]] std::size_t sample_count() const override { return cache_.samples(); }
@@ -149,6 +154,9 @@ class PhaseOrderEnv final : public Env {
  private:
   std::vector<double> observe();
   void note_cycles(std::uint64_t cycles);
+  /// Module fingerprint of working_, carried across passes that report no
+  /// change and recomputed only after one that does.
+  std::uint64_t working_fingerprint();
 
   std::vector<const ir::Module*> programs_;
   EnvConfig config_;
@@ -165,6 +173,8 @@ class PhaseOrderEnv final : public Env {
   bool inference_ = false;
   std::uint64_t prev_cycles_ = 0;
   double episode_return_ = 0.0;
+  std::uint64_t fingerprint_ = 0;   // of working_, while fingerprint_valid_
+  bool fingerprint_valid_ = false;  // cleared by reset(), mode toggles, changing passes
 
   std::vector<std::uint64_t> baseline_;  // per program (0 = unknown)
   std::vector<std::uint64_t> best_;

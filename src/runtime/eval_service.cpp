@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <chrono>
 
 #include "ir/clone.hpp"
@@ -163,13 +164,17 @@ Measure EvalService::measure_sequence(const ir::Module& program,
   // apply the passes, but the module-fingerprint layer below still runs the
   // simulator exactly once, so sample accounting stays exact.
   //
-  // Rollout (CoW) clone: the shared program outlives this call, bodies only
-  // deep-copy once the first pass runs (into the clone's arena), and for
-  // the empty sequence the fingerprint below reads straight through to the
-  // source — O(functions) allocations instead of O(instructions).
+  // Rollout (CoW) clone: the shared program outlives this call and bodies
+  // only deep-copy once the first pass runs (into the clone's arena). A
+  // sequence that changed nothing leaves the program's fingerprint standing
+  // (passes report every change), so only a changed module is hashed again;
+  // the lookup itself happens either way.
   auto working = ir::clone_module_for_rollout(program);
-  passes::apply_pass_sequence(*working, sequence);
-  const Measure measure = this->measure(*working, was_sample);
+  const bool changed = passes::apply_pass_sequence(*working, sequence);
+  const std::uint64_t fingerprint =
+      changed ? ir::module_fingerprint(*working) : program_fingerprint;
+  assert(fingerprint == ir::module_fingerprint(*working));
+  const Measure measure = measure_by_fingerprint(fingerprint, *working, was_sample);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     shard.sequences.emplace(key, measure);

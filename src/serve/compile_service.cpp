@@ -1,6 +1,7 @@
 #include "serve/compile_service.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -235,13 +236,16 @@ Result<CompileResponse> serve_pareto(const PolicyArtifact& artifact,
       child.sequence = live[c.parent].sequence;
       child.histogram = live[c.parent].histogram;
       child.score = c.score;
+      child.fingerprint = live[c.parent].fingerprint;  // the parent's, until a pass changes it
       child.module = --uses[c.parent] == 0 ? std::move(live[c.parent].module)
                                            : ir::clone_module(*live[c.parent].module);
       const int pass_index = actions[c.action];
-      passes::apply_pass(*child.module, pass_index);
+      if (passes::apply_pass(*child.module, pass_index)) {
+        child.fingerprint = ir::module_fingerprint(*child.module);
+      }
+      assert(child.fingerprint == ir::module_fingerprint(*child.module));
       child.histogram[c.action] += 1.0;
       child.sequence.push_back(pass_index);
-      child.fingerprint = ir::module_fingerprint(*child.module);
       child.measure = eval.measure(*child.module, child.fingerprint, &ran_simulator);
       count_lookup();
       children.push_back(std::move(child));

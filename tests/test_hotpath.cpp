@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "features/features.hpp"
@@ -57,6 +58,27 @@ TEST(HotPath, FingerprintingRolloutCloneStaysLazy) {
   EXPECT_EQ(ir::module_fingerprint(*rollout), ir::module_fingerprint(*program));
   EXPECT_EQ(rollout->arena()->allocation_count(), before);
   EXPECT_TRUE(rollout->has_lazy_functions());
+}
+
+TEST(HotPath, ConcurrentFingerprintsOfRolloutClonesOnlyReadTheSource) {
+  // Unmutated rollout clones print their source's body, and env lanes
+  // resetting onto one program do so from several threads at once: the
+  // printer must only read it (this is the race check on the TSan leg).
+  const auto program = progen::build_chstone_like("gsm");
+  const std::uint64_t expected = ir::module_fingerprint(*program);
+  const std::string text = ir::print_module(*program);
+  std::vector<std::uint64_t> fingerprints(16, 0);
+  std::vector<std::string> texts(fingerprints.size());
+  ThreadPool pool(4);
+  pool.parallel_for(fingerprints.size(), [&](std::size_t i) {
+    const auto rollout = ir::clone_module_for_rollout(*program);
+    fingerprints[i] = ir::module_fingerprint(*rollout);
+    texts[i] = ir::print_module(*rollout);
+  });
+  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    EXPECT_EQ(fingerprints[i], expected);
+    EXPECT_EQ(texts[i], text);
+  }
 }
 
 TEST(HotPath, RolloutCloneBitIdenticalPrintAfterPasses) {

@@ -30,9 +30,16 @@ TEST(Type, Sizes) {
   EXPECT_EQ(Type::pointer_to(Type::i8())->size_in_bytes(), 8u);
 }
 
-TEST(Type, ToString) {
-  EXPECT_EQ(Type::i32()->to_string(), "i32");
-  EXPECT_EQ(Type::pointer_to(Type::i16())->to_string(), "i16*");
+TEST(Printer, TypeText) {
+  Module m("t");
+  Type* i8_ptr_ptr = Type::pointer_to(Type::pointer_to(Type::i8()));
+  Function* f =
+      m.create_function("f", Type::i32(), {Type::pointer_to(Type::i16()), i8_ptr_ptr}, {"p", "q"});
+  IRBuilder b(m);
+  b.set_insert_point(f->create_block("entry"));
+  b.ret(m.get_i32(0));
+  EXPECT_EQ(print_function(*f),
+            "define i32 @f(i16* %p.0, i8** %q.1) {\nentry.0:\n  ret i32 0\n}\n");
 }
 
 TEST(Module, ConstantInterning) {

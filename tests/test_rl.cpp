@@ -169,6 +169,86 @@ TEST(Env, MultiProgramRoundRobin) {
   EXPECT_EQ(env.current_program(), 0u);
 }
 
+/// PhaseOrderEnv carries its working module's fingerprint across passes
+/// that report no change. These cases check the carried value never goes
+/// stale: the env's cycles must always equal what the shared service
+/// measures for working_module() from scratch.
+class EnvCarriedFingerprint : public ::testing::Test {
+ protected:
+  PhaseOrderEnv make_env(bool include_terminate = false) {
+    EnvConfig cfg;
+    cfg.eval_service = service_;
+    cfg.include_terminate = include_terminate;
+    return PhaseOrderEnv({sha_.get(), gsm_.get()}, cfg);
+  }
+
+  std::uint64_t truth(const PhaseOrderEnv& env) { return service_->cycles(env.working_module()); }
+
+  /// Training-mode steps from a state the env has measured: every reward
+  /// must be the service's cycle delta and current_cycles() its cycles.
+  /// Passes 38 and 8 (mem2reg, jump-threading) report no change on these
+  /// kernels, so the walk exercises the carry as well as recomputation.
+  void walk(PhaseOrderEnv& env, const std::vector<std::size_t>& actions) {
+    std::uint64_t prev = truth(env);
+    for (const std::size_t a : actions) {
+      const StepResult r = env.step({a});
+      const std::uint64_t now = truth(env);
+      EXPECT_EQ(r.reward, static_cast<double>(prev) - static_cast<double>(now)) << "action " << a;
+      EXPECT_EQ(env.current_cycles(), now) << "action " << a;
+      prev = now;
+    }
+  }
+
+  std::unique_ptr<ir::Module> sha_ = progen::build_chstone_like("sha");
+  std::unique_ptr<ir::Module> gsm_ = progen::build_chstone_like("gsm");
+  std::shared_ptr<runtime::EvalService> service_ = std::make_shared<runtime::EvalService>();
+};
+
+TEST_F(EnvCarriedFingerprint, ResetAfterTrainingAndInferenceEpisodes) {
+  PhaseOrderEnv env = make_env();
+  env.reset();  // sha
+  walk(env, {38, 31, 38, 30, 8, 26});
+  env.reset();  // gsm: the last episode's fingerprint must not survive
+  EXPECT_EQ(env.current_cycles(), truth(env));
+  walk(env, {31, 38, 8});
+  env.set_inference_mode(true);
+  env.reset();  // sha, unmeasured steps
+  for (const std::size_t a : {31, 38, 30, 8}) env.step({a});
+  EXPECT_EQ(env.current_cycles(), truth(env));
+  env.set_inference_mode(false);
+  env.reset();  // gsm
+  EXPECT_EQ(env.current_cycles(), truth(env));
+  walk(env, {38, 30, 8, 31});
+}
+
+TEST_F(EnvCarriedFingerprint, InferenceModeOffMidEpisode) {
+  PhaseOrderEnv env = make_env();
+  env.set_inference_mode(true);
+  env.reset();
+  for (const std::size_t a : {38, 31, 30}) env.step({a});
+  env.set_inference_mode(false);
+  env.step({38});
+  EXPECT_EQ(env.current_cycles(), truth(env));
+  walk(env, {8, 26, 38, 28});
+}
+
+TEST_F(EnvCarriedFingerprint, TerminateAction) {
+  PhaseOrderEnv env = make_env(/*include_terminate=*/true);
+  const std::size_t terminate = env.action_arity() - 1;
+  env.reset();
+  walk(env, {31, 38});
+  const std::uint64_t before = env.current_cycles();
+  const StepResult r = env.step({terminate});
+  EXPECT_TRUE(r.done);
+  EXPECT_EQ(r.reward, 0.0);
+  EXPECT_EQ(env.current_cycles(), before);
+  EXPECT_EQ(env.current_cycles(), truth(env));
+  env.reset();  // gsm
+  walk(env, {30, 38, 31});
+  env.step({terminate});
+  EXPECT_EQ(env.current_cycles(), truth(env));
+}
+
 TEST(MultiActionEnv, SequenceAdjustment) {
   auto m = progen::build_chstone_like("sha");
   EnvConfig cfg;
