@@ -50,12 +50,16 @@ class Matrix {
   [[nodiscard]] const std::vector<double>& data() const noexcept { return data_; }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
+  /// Reshapes to rows x cols of +0.0, reusing the buffer's capacity.
+  void reset(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0.0);
+  }
 
   // ---- In-place arithmetic ----
   Matrix& operator+=(const Matrix& other);
   Matrix& operator*=(double s);
-  /// this += other * s (axpy).
-  void add_scaled(const Matrix& other, double s);
 
  private:
   std::size_t rows_ = 0;
@@ -65,9 +69,10 @@ class Matrix {
 
 /// out = a @ b.
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// out = a^T @ b.
-Matrix matmul_tn(const Matrix& a, const Matrix& b);
-/// out = a @ b^T.
-Matrix matmul_nt(const Matrix& a, const Matrix& b);
+/// out = a^T @ b. `out` is overwritten and its buffer reused.
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& out);
+/// out = a @ b^T. `out` is overwritten; `b_t` is scratch for the transpose
+/// of b. Both buffers are reused.
+void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out, Matrix& b_t);
 
 }  // namespace autophase::ml

@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace autophase::ml {
 
 void Gradients::zero() {
   for (auto& w : weights) w.fill(0.0);
   for (auto& b : biases) b.fill(0.0);
-}
-
-void Gradients::add(const Gradients& other) {
-  for (std::size_t l = 0; l < weights.size(); ++l) {
-    weights[l] += other.weights[l];
-    biases[l] += other.biases[l];
-  }
 }
 
 void Gradients::scale(double s) {
@@ -119,22 +113,26 @@ Matrix Mlp::forward(const Matrix& x, ForwardCache* cache) const {
   return h;
 }
 
-void Mlp::backward(const ForwardCache& cache, const Matrix& grad_output,
-                   Gradients& grads) const {
+void Mlp::backward(ForwardCache& cache, const Matrix& grad_output, Gradients& grads) const {
   const std::size_t layers = weights_.size();
-  Matrix grad = grad_output;  // dLoss/d(post-activation of last layer) == output
+  Matrix& grad = cache.grad;
+  grad = grad_output;  // dLoss/d(post-activation of last layer) == output
   for (std::size_t l = layers; l-- > 0;) {
     // The last layer is linear; hidden layers apply the activation.
     if (l + 1 != layers) activation_backward(grad, cache.post_activations[l], config_.activation);
     const Matrix& layer_input = l == 0 ? cache.input : cache.post_activations[l - 1];
-    grads.weights[l] += matmul_tn(layer_input, grad);
+    matmul_tn(layer_input, grad, cache.product);
+    grads.weights[l] += cache.product;
     // Bias gradient: column sums.
     for (std::size_t r = 0; r < grad.rows(); ++r) {
       const double* row = grad.row(r);
       double* b = grads.biases[l].row(0);
       for (std::size_t c = 0; c < grad.cols(); ++c) b[c] += row[c];
     }
-    if (l > 0) grad = matmul_nt(grad, weights_[l]);
+    if (l > 0) {
+      matmul_nt(grad, weights_[l], cache.next_grad, cache.weights_t);
+      std::swap(grad, cache.next_grad);
+    }
   }
 }
 
@@ -143,13 +141,6 @@ Gradients Mlp::make_gradients() const {
   for (const auto& w : weights_) g.weights.emplace_back(w.rows(), w.cols());
   for (const auto& b : biases_) g.biases.emplace_back(b.rows(), b.cols());
   return g;
-}
-
-void Mlp::apply_delta(const Gradients& delta, double scale) {
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    weights_[l].add_scaled(delta.weights[l], scale);
-    biases_[l].add_scaled(delta.biases[l], scale);
-  }
 }
 
 std::size_t Mlp::parameter_count() const noexcept {

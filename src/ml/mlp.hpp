@@ -27,17 +27,23 @@ struct Gradients {
   std::vector<Matrix> biases;
 
   void zero();
-  void add(const Gradients& other);
   void scale(double s);
   /// Global L2 norm across all parameters (for gradient clipping).
   [[nodiscard]] double l2_norm() const;
 };
 
-/// Forward-pass activations retained for backprop.
+/// Forward-pass activations retained for backprop, plus backward()'s
+/// scratch, whose buffers are reused when one cache serves many
+/// forward/backward pairs.
 struct ForwardCache {
   Matrix input;
   std::vector<Matrix> pre_activations;   // per layer
   std::vector<Matrix> post_activations;  // per layer (last = raw output)
+
+  Matrix grad;       // dLoss/d(output of the layer being stepped back through)
+  Matrix next_grad;  // the same for the layer below
+  Matrix product;    // one layer's weight gradient before it is added
+  Matrix weights_t;  // transposed weights for the input gradient
 };
 
 class Mlp {
@@ -66,15 +72,14 @@ class Mlp {
   /// copies of the vector<vector> overload; output rows are identical.
   Matrix forward_batch(std::vector<double> rows, std::size_t batch) const;
 
-  /// Accumulates parameter gradients for dLoss/dOutput into `grads` (which
-  /// must be zero-initialised via make_gradients or Gradients::zero).
-  void backward(const ForwardCache& cache, const Matrix& grad_output, Gradients& grads) const;
+  /// Adds the parameter gradients for dLoss/dOutput to `grads` (zeroed via
+  /// make_gradients or Gradients::zero for a single backward; A3C sums
+  /// several into one). Each layer's weight gradient is computed whole and
+  /// then added, so accumulating gives the same bits as adding a fresh
+  /// backward's gradients. Uses the cache's scratch buffers.
+  void backward(ForwardCache& cache, const Matrix& grad_output, Gradients& grads) const;
 
   [[nodiscard]] Gradients make_gradients() const;
-
-  /// SGD-style parameter update: params += delta * scale (used by the
-  /// optimisers and by ES weight perturbation).
-  void apply_delta(const Gradients& delta, double scale);
 
   // ---- Flat parameter vector (ES / checkpointing) ----
   [[nodiscard]] std::size_t parameter_count() const noexcept;
@@ -85,6 +90,8 @@ class Mlp {
   [[nodiscard]] const std::vector<Matrix>& biases() const noexcept { return biases_; }
 
  private:
+  friend class Adam;  // steps the weights in place
+
   MlpConfig config_;
   std::vector<Matrix> weights_;  // layer l: (in_l x out_l)
   std::vector<Matrix> biases_;   // (1 x out_l)

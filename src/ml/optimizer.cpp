@@ -4,49 +4,45 @@
 
 namespace autophase::ml {
 
-namespace {
-
-/// Returns the multiplier that clips `grads` to `max_norm` (1.0 when inside).
-double clip_scale(const Gradients& grads, double max_norm) {
-  if (max_norm <= 0.0) return 1.0;
-  const double norm = grads.l2_norm();
-  return norm > max_norm ? max_norm / norm : 1.0;
-}
-
-}  // namespace
-
 Adam::Adam(const Mlp& model, Config config)
     : config_(config), m_(model.make_gradients()), v_(model.make_gradients()) {}
 
 void Adam::step(Mlp& model, const Gradients& grads) {
   ++t_;
-  const double clip = clip_scale(grads, config_.max_grad_norm);
+  double clip = 1.0;  // multiplier that clips grads to max_grad_norm
+  if (config_.max_grad_norm > 0.0) {
+    const double norm = grads.l2_norm();
+    if (norm > config_.max_grad_norm) clip = config_.max_grad_norm / norm;
+  }
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const double b1 = config_.beta1;
+  const double b2 = config_.beta2;
+  const double eps = config_.epsilon;
+  const double scale = -config_.lr;
 
-  Gradients update = model.make_gradients();
-  auto update_block = [&](Matrix& m, Matrix& v, const Matrix& g, Matrix& out) {
-    for (std::size_t i = 0; i < m.data().size(); ++i) {
-      const double gi = g.data()[i] * clip;
-      m.data()[i] = config_.beta1 * m.data()[i] + (1.0 - config_.beta1) * gi;
-      v.data()[i] = config_.beta2 * v.data()[i] + (1.0 - config_.beta2) * gi * gi;
-      const double mhat = m.data()[i] / bc1;
-      const double vhat = v.data()[i] / bc2;
-      out.data()[i] = mhat / (std::sqrt(vhat) + config_.epsilon);
+  // One pass per block that moves both moments and the weight. Each element
+  // keeps the operations of a separate update pass: the bias corrections
+  // stay divisions (a reciprocal multiply rounds differently) and the weight
+  // gains update * (-lr).
+  auto step_block = [&](Matrix& w, Matrix& m, Matrix& v, const Matrix& g) {
+    double* wd = w.data().data();
+    double* md = m.data().data();
+    double* vd = v.data().data();
+    const double* gd = g.data().data();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double gi = gd[i] * clip;
+      md[i] = b1 * md[i] + (1.0 - b1) * gi;
+      vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
+      const double mhat = md[i] / bc1;
+      const double vhat = vd[i] / bc2;
+      wd[i] += mhat / (std::sqrt(vhat) + eps) * scale;
     }
   };
-  for (std::size_t l = 0; l < update.weights.size(); ++l) {
-    update_block(m_.weights[l], v_.weights[l], grads.weights[l], update.weights[l]);
-    update_block(m_.biases[l], v_.biases[l], grads.biases[l], update.biases[l]);
+  for (std::size_t l = 0; l < model.weights_.size(); ++l) {
+    step_block(model.weights_[l], m_.weights[l], v_.weights[l], grads.weights[l]);
+    step_block(model.biases_[l], m_.biases[l], v_.biases[l], grads.biases[l]);
   }
-  model.apply_delta(update, -config_.lr);
-}
-
-void Sgd::step(Mlp& model, const Gradients& grads) const {
-  const double clip = clip_scale(grads, config_.max_grad_norm);
-  Gradients g = grads;
-  g.scale(clip);
-  model.apply_delta(g, -config_.lr);
 }
 
 }  // namespace autophase::ml

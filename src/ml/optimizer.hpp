@@ -1,5 +1,5 @@
-// Optimisers for the policy/value networks: Adam (used by PPO as in RLlib's
-// defaults) and plain SGD (used by the A3C workers' shared updates).
+// Adam, the optimiser of the policy/value networks (PPO as in RLlib's
+// defaults, and the A3C workers' shared updates).
 #pragma once
 
 #include "ml/mlp.hpp"
@@ -26,21 +26,6 @@ class Adam {
   Gradients m_;
   Gradients v_;
   std::size_t t_ = 0;
-};
-
-class Sgd {
- public:
-  struct Config {
-    double lr = 1e-3;
-    double max_grad_norm = 10.0;
-  };
-
-  explicit Sgd(Config config) : config_(config) {}
-
-  void step(Mlp& model, const Gradients& grads) const;
-
- private:
-  Config config_;
 };
 
 }  // namespace autophase::ml

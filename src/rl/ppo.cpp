@@ -1,7 +1,9 @@
 #include "rl/ppo.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <iterator>
 
 #include "support/str.hpp"
@@ -107,10 +109,31 @@ std::vector<std::size_t> PpoTrainer::act_sample(const std::vector<double>& obser
   return dist_.sample_all(logits.row(0), rng_);
 }
 
-IterationStats PpoTrainer::iterate() { return vec_ != nullptr ? iterate_vec() : iterate_env(); }
-
-IterationStats PpoTrainer::iterate_env() {
+IterationStats PpoTrainer::iterate() {
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  const auto rollout_start = Clock::now();
   RolloutBuffer buffer;
+  const double reward_mean = vec_ != nullptr ? collect_vec(buffer) : collect_env(buffer);
+  const auto rollout_end = Clock::now();
+  buffer.normalize_advantages();
+  const auto update_start = Clock::now();
+  update(buffer);
+  const auto update_end = Clock::now();
+
+  IterationStats stats;
+  stats.iteration = iteration_++;
+  stats.episode_reward_mean = reward_mean;
+  stats.policy_entropy = last_entropy_;
+  stats.env_samples = vec_ != nullptr ? vec_->sample_count() : env_->sample_count();
+  stats.rollout_ms = ms(rollout_end - rollout_start);
+  stats.update_ms = ms(update_end - update_start);
+  return stats;
+}
+
+double PpoTrainer::collect_env(RolloutBuffer& buffer) {
   if (need_reset_) {
     obs_ = env_->reset();
     need_reset_ = false;
@@ -132,10 +155,10 @@ IterationStats PpoTrainer::iterate_env() {
   const double last_value = value_of(obs_);
   buffer.compute_gae(config_.gamma, config_.gae_lambda,
                      buffer.transitions.back().done ? 0.0 : last_value);
-  return finish_iteration(buffer, buffer.episode_reward_mean(), env_->sample_count());
+  return buffer.episode_reward_mean();
 }
 
-IterationStats PpoTrainer::iterate_vec() {
+double PpoTrainer::collect_vec(RolloutBuffer& merged) {
   const std::size_t k = vec_->size();
   if (need_reset_) {
     vec_obs_ = vec_->reset();
@@ -174,7 +197,6 @@ IterationStats PpoTrainer::iterate_vec() {
 
   // GAE per lane (lanes are independent trajectories; bootstrapping across
   // them would be wrong), then merge everything for the shared update.
-  RolloutBuffer merged;
   double completed_total = 0.0;
   int completed_episodes = 0;
   double partial_total = 0.0;
@@ -198,24 +220,28 @@ IterationStats PpoTrainer::iterate_vec() {
                              lane.advantages.end());
     merged.returns.insert(merged.returns.end(), lane.returns.begin(), lane.returns.end());
   }
-  const double reward_mean = completed_episodes > 0
-                                 ? completed_total / completed_episodes
-                                 : partial_total / static_cast<double>(k);
-  return finish_iteration(merged, reward_mean, vec_->sample_count());
+  return completed_episodes > 0 ? completed_total / completed_episodes
+                                : partial_total / static_cast<double>(k);
 }
 
-IterationStats PpoTrainer::finish_iteration(RolloutBuffer& buffer, double reward_mean,
-                                            std::size_t env_samples) {
-  buffer.normalize_advantages();
-  update(buffer);
+namespace {
 
-  IterationStats stats;
-  stats.iteration = iteration_++;
-  stats.episode_reward_mean = reward_mean;
-  stats.policy_entropy = last_entropy_;
-  stats.env_samples = env_samples;
-  return stats;
-}
+/// Waits for a task on scope exit, so that no exception leaves the scope
+/// while the task still reads the scope's locals.
+class JoinOnExit {
+ public:
+  explicit JoinOnExit(std::future<void>& task) : task_(task) {}
+  JoinOnExit(const JoinOnExit&) = delete;
+  JoinOnExit& operator=(const JoinOnExit&) = delete;
+  ~JoinOnExit() {
+    if (task_.valid()) task_.wait();
+  }
+
+ private:
+  std::future<void>& task_;
+};
+
+}  // namespace
 
 void PpoTrainer::update(RolloutBuffer& buffer) {
   const std::size_t n = buffer.transitions.size();
@@ -226,6 +252,25 @@ void PpoTrainer::update(RolloutBuffer& buffer) {
   double entropy_acc = 0.0;
   std::size_t entropy_samples = 0;
 
+  // Scratch for every minibatch. Each use starts from zeros, so the results
+  // are those of freshly allocated buffers.
+  ml::Matrix obs;
+  ml::Matrix dlogits;
+  ml::Matrix dvalues;
+  std::vector<double> lp_grad(logit_count);
+  std::vector<double> ent_grad(logit_count);
+  ml::ForwardCache pcache;
+  ml::ForwardCache vcache;
+  ml::Gradients pgrads = policy_.make_gradients();
+  ml::Gradients vgrads = value_.make_gradients();
+
+  // The rollout's pool is idle during the update, so a worker steps the
+  // value net while this thread steps the policy. The two halves share only
+  // read-only state (obs, order, buffer, config_); rng_, dist_ and the
+  // entropy sums stay on this thread.
+  ThreadPool* pool = vec_ != nullptr ? vec_->pool() : nullptr;
+  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
+
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng_.shuffle(order);
     for (std::size_t start = 0; start < n;
@@ -234,16 +279,31 @@ void PpoTrainer::update(RolloutBuffer& buffer) {
       const std::size_t batch = end - start;
 
       // Assemble the minibatch.
-      ml::Matrix obs(batch, buffer.transitions[0].observation.size());
+      obs.reset(batch, buffer.transitions[0].observation.size());
       for (std::size_t b = 0; b < batch; ++b) {
         const auto& t = buffer.transitions[order[start + b]];
         std::copy(t.observation.begin(), t.observation.end(), obs.row(b));
       }
 
+      // ---- Value update (MSE to GAE returns) ----
+      const auto value_half = [&, start, batch] {
+        const ml::Matrix values = value_.forward(obs, &vcache);
+        dvalues.reset(batch, 1);
+        for (std::size_t b = 0; b < batch; ++b) {
+          const double target = buffer.returns[order[start + b]];
+          dvalues.at(b, 0) = 2.0 * (values.at(b, 0) - target) / static_cast<double>(batch);
+        }
+        vgrads.zero();
+        value_.backward(vcache, dvalues, vgrads);
+        value_opt_.step(value_, vgrads);
+      };
+      std::future<void> value_task;
+      const JoinOnExit join(value_task);
+      if (pool != nullptr) value_task = pool->submit(value_half);
+
       // ---- Policy update ----
-      ml::ForwardCache pcache;
       const ml::Matrix logits = policy_.forward(obs, &pcache);
-      ml::Matrix dlogits(batch, logit_count);
+      dlogits.reset(batch, logit_count);
       for (std::size_t b = 0; b < batch; ++b) {
         const auto& t = buffer.transitions[order[start + b]];
         const double adv = buffer.advantages[order[start + b]];
@@ -252,9 +312,9 @@ void PpoTrainer::update(RolloutBuffer& buffer) {
         // Clipped surrogate: gradient flows only when unclipped is active.
         const bool clipped = (adv >= 0.0 && ratio > 1.0 + config_.clip) ||
                              (adv < 0.0 && ratio < 1.0 - config_.clip);
-        std::vector<double> lp_grad(logit_count, 0.0);
+        std::fill(lp_grad.begin(), lp_grad.end(), 0.0);
         dist_.log_prob_grad_all(logits.row(b), t.action, lp_grad.data());
-        std::vector<double> ent_grad(logit_count, 0.0);
+        std::fill(ent_grad.begin(), ent_grad.end(), 0.0);
         for (std::size_t g = 0; g < dist_.groups; ++g) {
           ml::entropy_grad(logits.row(b) + g * dist_.arity, dist_.arity,
                            ent_grad.data() + g * dist_.arity);
@@ -268,21 +328,15 @@ void PpoTrainer::update(RolloutBuffer& buffer) {
         entropy_acc += dist_.entropy_all(logits.row(b));
         ++entropy_samples;
       }
-      ml::Gradients pgrads = policy_.make_gradients();
+      pgrads.zero();
       policy_.backward(pcache, dlogits, pgrads);
       policy_opt_.step(policy_, pgrads);
 
-      // ---- Value update (MSE to GAE returns) ----
-      ml::ForwardCache vcache;
-      const ml::Matrix values = value_.forward(obs, &vcache);
-      ml::Matrix dvalues(batch, 1);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const double target = buffer.returns[order[start + b]];
-        dvalues.at(b, 0) = 2.0 * (values.at(b, 0) - target) / static_cast<double>(batch);
+      if (value_task.valid()) {
+        value_task.get();  // rethrows what the value half threw
+      } else {
+        value_half();
       }
-      ml::Gradients vgrads = value_.make_gradients();
-      value_.backward(vcache, dvalues, vgrads);
-      value_opt_.step(value_, vgrads);
     }
   }
   last_entropy_ = entropy_samples > 0 ? entropy_acc / static_cast<double>(entropy_samples) : 0.0;

@@ -51,6 +51,8 @@ struct IterationStats {
   double episode_reward_mean = 0.0;
   std::size_t env_samples = 0;  // cumulative simulator calls
   double policy_entropy = 0.0;
+  double rollout_ms = 0.0;  // collecting the transitions, GAE included
+  double update_ms = 0.0;   // the minibatch-epoch update
 };
 
 class PpoTrainer {
@@ -91,11 +93,16 @@ class PpoTrainer {
 
  private:
   double value_of(const std::vector<double>& observation) const;
+  /// Collect one iteration's transitions, with GAE, into `buffer` and
+  /// return the mean episode reward.
+  double collect_env(RolloutBuffer& buffer);
+  double collect_vec(RolloutBuffer& buffer);
+  /// The minibatch-epoch update. With a VecEnv whose pool has two or more
+  /// threads, each minibatch's value-net half runs on a pool worker while
+  /// the calling thread runs the policy half; otherwise the same code runs
+  /// both halves in turn. The weights come out bit-identical either way.
+  /// Must not be called from a worker of that pool.
   void update(RolloutBuffer& buffer);
-  IterationStats iterate_env();
-  IterationStats iterate_vec();
-  IterationStats finish_iteration(RolloutBuffer& buffer, double reward_mean,
-                                  std::size_t env_samples);
 
   Env* env_ = nullptr;               // single-env rollout source
   runtime::VecEnv* vec_ = nullptr;   // vectorised rollout source

@@ -35,6 +35,9 @@ class VecEnv {
   [[nodiscard]] std::size_t size() const noexcept { return envs_.size(); }
   [[nodiscard]] rl::Env& env(std::size_t i) { return *envs_[i]; }
   [[nodiscard]] const rl::Env& env(std::size_t i) const { return *envs_[i]; }
+  /// The pool that steps the environments (nullptr: serial). PPO runs its
+  /// value-net update on it while the pool would otherwise sit idle.
+  [[nodiscard]] ThreadPool* pool() const noexcept { return config_.pool; }
   /// Per-worker policy-sampling stream; index-stable, thread-count agnostic.
   [[nodiscard]] Rng& worker_rng(std::size_t i) noexcept { return rngs_[i]; }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "progen/chstone_like.hpp"
 #include "rl/a3c.hpp"
 #include "rl/env.hpp"
@@ -303,6 +305,28 @@ TEST(Ppo, ImprovesOnKernelEnv) {
   EXPECT_LT(env.best_cycles(0), env.baseline_cycles(0));
   EXPECT_GT(env.samples(), 10u);
   EXPECT_GT(stats.back().env_samples, 0u);
+}
+
+TEST(Ppo, IterationStatsTimeRolloutAndUpdate) {
+  auto m = progen::build_chstone_like("sha");
+  EnvConfig cfg;
+  cfg.observation = ObservationMode::kActionHistogram;
+  cfg.episode_length = 5;
+  PhaseOrderEnv env({m.get()}, cfg);
+  PpoConfig ppo;
+  ppo.steps_per_iteration = 64;
+  ppo.hidden = {32};
+  PpoTrainer trainer(env, ppo);
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const IterationStats stats = trainer.iterate();
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_GT(stats.rollout_ms, 0.0);
+    EXPECT_GT(stats.update_ms, 0.0);
+    EXPECT_LE(stats.rollout_ms + stats.update_ms, wall_ms);
+  }
 }
 
 TEST(A3c, RunsWorkersAndLearnsBandit) {

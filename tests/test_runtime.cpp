@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/clone.hpp"
@@ -15,6 +16,7 @@
 #include "runtime/vec_env.hpp"
 #include "search/evaluator.hpp"
 #include "search/search.hpp"
+#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 
 namespace autophase::runtime {
@@ -372,6 +374,39 @@ TEST(VecEnvPpo, DeterministicForAnyThreadCount) {
   ThreadPool pool(4);
   const auto parallel = run(&pool);
   EXPECT_EQ(serial, parallel);
+}
+
+// The update steps the value net on a pool worker while the calling thread
+// steps the policy; every weight must come out bit-identical to the serial
+// update, whatever the pool. The golden hash was taken from the serial
+// update before the backward kernels and Adam were rewritten, so it also
+// pins that they kept each element's sequence of IEEE operations.
+TEST(VecEnvPpo, WeightsBitIdenticalForAnyPool) {
+  auto m = progen::build_chstone_like("sha");
+  const std::vector<const ir::Module*> programs = {m.get()};
+  const auto run = [&](ThreadPool* pool) {
+    VecEnv vec = make_kernel_vec(programs, 4, pool, 23);
+    rl::PpoConfig ppo;
+    ppo.iterations = 2;
+    ppo.steps_per_iteration = 160;  // minibatches of 64, 64 and 32
+    ppo.hidden = {256, 256};
+    ppo.seed = 23;
+    rl::PpoTrainer trainer(vec, ppo);
+    trainer.train();
+    std::vector<double> weights = trainer.policy().flatten();
+    const std::vector<double> value = trainer.export_policy().value->flatten();
+    weights.insert(weights.end(), value.begin(), value.end());
+    return weights;
+  };
+  const auto bytes = [](const std::vector<double>& v) {
+    return std::string(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(double));
+  };
+  const std::string serial = bytes(run(nullptr));
+  ThreadPool one(1);
+  EXPECT_EQ(bytes(run(&one)), serial);
+  ThreadPool four(4);
+  EXPECT_EQ(bytes(run(&four)), serial);
+  EXPECT_EQ(fnv1a(serial), 0xac8560fb9996ec91ull) << std::hex << fnv1a(serial);
 }
 
 TEST(VecEnvA3c, TrainsOnVectorOwnedEnvironments) {
