@@ -37,7 +37,6 @@ struct Gradients {
 /// forward/backward pairs.
 struct ForwardCache {
   Matrix input;
-  std::vector<Matrix> pre_activations;   // per layer
   std::vector<Matrix> post_activations;  // per layer (last = raw output)
 
   Matrix grad;       // dLoss/d(output of the layer being stepped back through)

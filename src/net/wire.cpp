@@ -54,8 +54,9 @@ std::string weights_field(const serve::ObjectiveWeights& weights, int front_widt
 }
 
 /// False on a corrupt field: wrong size, non-finite or negative weights, or
-/// an absurd front width. A known tag with a bad body is a hard error (the
-/// peer speaks v4 and sent garbage), unlike unknown tags which are skipped.
+/// a front width outside 1..serve::kMaxBeams. A known tag with a bad body is
+/// a hard error (the peer speaks v4 and sent garbage), unlike unknown tags
+/// which are skipped.
 bool read_weights_field(std::string_view field, serve::ObjectiveWeights& weights,
                         int& front_width) {
   ByteReader f(field);
@@ -67,7 +68,7 @@ bool read_weights_field(std::string_view field, serve::ObjectiveWeights& weights
   for (const double w : {weights.cycles, weights.area, weights.ir_size}) {
     if (!std::isfinite(w) || w < 0.0) return false;
   }
-  if (width == 0 || width > 4096) return false;
+  if (width == 0 || width > static_cast<std::uint32_t>(serve::kMaxBeams)) return false;
   front_width = static_cast<int>(width);
   return true;
 }
@@ -253,6 +254,10 @@ Result<DecodedCompileRequest> decode_compile_request(std::string_view payload) {
     }
   }
   if (!r.ok() || !r.at_end()) return Status::error("compile request: truncated payload");
+  // Refuse hostile sizes before paying for the module.
+  if (Status bounds = serve::check_request_bounds(out.request); !bounds.is_ok()) {
+    return Status::error("compile request: " + bounds.message());
+  }
   auto module = serve::deserialize_module(module_blob);
   if (!module.is_ok()) return Status::error("compile request: " + module.message());
   out.module = std::move(module).value();

@@ -1,20 +1,22 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "ml/matrix.hpp"
 
 namespace autophase::serve {
 
-std::vector<double> PolicyBatcher::infer(const PolicyArtifact& artifact,
-                                         const std::vector<double>& observation) {
-  return infer_many(artifact, {observation})[0];
-}
+namespace {
+
+/// Rows folded into one forward pass at most.
+constexpr std::size_t kMaxBatch = 16;
+
+}  // namespace
 
 std::vector<std::vector<double>> PolicyBatcher::infer_many(
     const PolicyArtifact& artifact, const std::vector<std::vector<double>>& observations,
-    std::size_t* batch_rows, std::uint64_t group_key,
-    std::chrono::steady_clock::time_point deadline_at) {
+    std::size_t* batch_rows) {
   if (observations.empty()) {
     if (batch_rows != nullptr) *batch_rows = 0;
     return {};
@@ -23,12 +25,9 @@ std::vector<std::vector<double>> PolicyBatcher::infer_many(
   for (std::size_t i = 0; i < observations.size(); ++i) {
     slots[i].artifact = &artifact;
     slots[i].observation = &observations[i];
-    slots[i].group_key = group_key;
-    slots[i].deadline_at = deadline_at;
   }
   std::unique_lock<std::mutex> lock(mutex_);
   for (auto& slot : slots) pending_.push_back(&slot);
-  cv_.notify_all();
 
   const auto mine_done = [&slots] {
     return std::all_of(slots.begin(), slots.end(), [](const Pending& p) { return p.done; });
@@ -38,32 +37,11 @@ std::vector<std::vector<double>> PolicyBatcher::infer_many(
       cv_.wait(lock);
       continue;
     }
-    // Leader: gather co-riders, run batches until this call's rows are done,
-    // then hand leadership to whoever still waits.
+    // Leader: run whatever is pending, batch by batch, until this call's
+    // rows are done, then hand leadership to whoever still waits.
     leader_active_ = true;
-    if (config_.window.count() > 0 && pending_.size() < config_.max_batch) {
-      // Deadline-aware fold window: wait for co-riders until the configured
-      // window ends OR the earliest pending deadline arrives, whichever is
-      // first. Under deadline pressure the window shrinks to zero and the
-      // batch launches immediately — smaller matmuls beat missed deadlines.
-      const auto now = std::chrono::steady_clock::now();
-      auto wake_at = now + config_.window;
-      bool clamped = false;
-      for (const Pending* p : pending_) {
-        if (p->deadline_at != std::chrono::steady_clock::time_point{} &&
-            p->deadline_at < wake_at) {
-          wake_at = std::max(p->deadline_at, now);
-          clamped = true;
-        }
-      }
-      if (clamped) ++stats_.window_clamps;
-      if (wake_at > now) {
-        cv_.wait_until(lock, wake_at,
-                       [this] { return pending_.size() >= config_.max_batch; });
-      }
-    }
     while (!pending_.empty() && !mine_done()) {
-      const std::size_t take = std::min(pending_.size(), config_.max_batch);
+      const std::size_t take = std::min(pending_.size(), kMaxBatch);
       std::vector<Pending*> batch(pending_.begin(),
                                   pending_.begin() + static_cast<std::ptrdiff_t>(take));
       pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(take));
@@ -96,8 +74,7 @@ void PolicyBatcher::run_batch(std::vector<Pending*> batch) {
     if (grouped[i]) continue;
     std::vector<std::size_t> members;
     for (std::size_t j = i; j < batch.size(); ++j) {
-      if (!grouped[j] && batch[j]->artifact == batch[i]->artifact &&
-          batch[j]->group_key == batch[i]->group_key) {
+      if (!grouped[j] && batch[j]->artifact == batch[i]->artifact) {
         grouped[j] = true;
         members.push_back(j);
       }

@@ -1,14 +1,15 @@
 // Cross-request policy-inference batching. Serving workers blocked in
-// infer()/infer_many() are collected by a leader (the first arrival), their
+// infer_many() are collected by a leader (the first arrival), their
 // observations stacked per model into one matrix and pushed through a single
-// ml::Mlp::forward_batch — concurrent requests share one matmul. Because each
-// output row of a forward pass is an independent dot-product chain, the
-// logits a request sees are bit-identical whether its observation ran alone
-// or folded into a batch of 16: batching changes latency and throughput,
-// never answers.
+// ml::Mlp::forward_batch. The leader never waits for co-riders: it runs
+// whatever rows are pending, so rows fold only when they are already there
+// (a beam front's rows, or rows that queued while another forward ran).
+// Because each output row of a forward pass is an independent dot-product
+// chain, the logits a request sees are bit-identical whether its observation
+// ran alone or folded into a batch of 16: batching changes latency and
+// throughput, never answers.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -18,51 +19,28 @@
 
 namespace autophase::serve {
 
-struct BatcherConfig {
-  /// Rows folded into one forward pass at most.
-  std::size_t max_batch = 16;
-  /// How long the leader waits for co-riders before launching a partial
-  /// batch. Zero disables the wait (each arrival batch = whatever is queued).
-  std::chrono::microseconds window{200};
-};
-
 struct BatcherStats {
   std::uint64_t batches = 0;        // forward_batch calls
   std::uint64_t rows = 0;           // observations inferred
   std::size_t max_batch_rows = 0;   // largest single batch
-  /// Deadline-aware batching: times the leader's fold window was cut short
-  /// because a pending request's deadline was nearer than the window end.
-  std::uint64_t window_clamps = 0;
 };
 
 class PolicyBatcher {
  public:
-  explicit PolicyBatcher(BatcherConfig config = {}) : config_(config) {}
+  PolicyBatcher() = default;
 
   PolicyBatcher(const PolicyBatcher&) = delete;
   PolicyBatcher& operator=(const PolicyBatcher&) = delete;
-
-  /// Policy logits for one observation (blocking; may ride a shared batch).
-  std::vector<double> infer(const PolicyArtifact& artifact,
-                            const std::vector<double>& observation);
 
   /// Logits for several observations of one model (a beam front submits all
   /// its rows at once so they batch with each other as well as with other
   /// requests). Result i corresponds to observations[i]. When `batch_rows` is
   /// non-null it reports the largest same-model batch any of these rows rode
   /// in — the trace attribute that shows whether a request actually shared a
-  /// matmul or ran alone. `group_key` partitions batches beyond the model:
-  /// rows only fold with rows of the same (artifact, group_key) — the serve
-  /// path passes weights_key(request.weights), so objective mixes never share
-  /// a batch (today that changes nothing numerically; it is the seam where
-  /// objective-conditioned value heads plug in). `deadline_at` (time_point{}
-  /// = none) makes the batching deadline-aware: a leader never holds the
-  /// fold window open past the earliest pending deadline, so co-riding can
-  /// cost a request throughput headroom but never its deadline.
+  /// matmul or ran alone.
   std::vector<std::vector<double>> infer_many(
       const PolicyArtifact& artifact, const std::vector<std::vector<double>>& observations,
-      std::size_t* batch_rows = nullptr, std::uint64_t group_key = 0,
-      std::chrono::steady_clock::time_point deadline_at = {});
+      std::size_t* batch_rows = nullptr);
 
   [[nodiscard]] BatcherStats stats() const;
 
@@ -70,8 +48,6 @@ class PolicyBatcher {
   struct Pending {
     const PolicyArtifact* artifact = nullptr;
     const std::vector<double>* observation = nullptr;
-    std::uint64_t group_key = 0;  // objective-weights partition within a model
-    std::chrono::steady_clock::time_point deadline_at{};  // {} = no deadline
     std::vector<double> logits;
     std::size_t batch_rows = 0;  // size of the same-model batch this row rode
     bool done = false;
@@ -80,7 +56,6 @@ class PolicyBatcher {
   /// Executes one batch (outside the queue lock), fulfilling every entry.
   void run_batch(std::vector<Pending*> batch);
 
-  BatcherConfig config_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<Pending*> pending_;

@@ -47,6 +47,27 @@ double predicted_improvement(double value, bool log_reward) {
   return value >= 0 ? std::expm1(value) : -std::expm1(-value);
 }
 
+/// One decode step's policy logits, row i for observations[i]. Through the
+/// batcher the rows may fold with other requests' rows; without one
+/// (compile_sync, the reference path) they run inline as one forward. Either
+/// way the decode_step span records how many rows shared the forward.
+std::vector<std::vector<double>> step_logits(const PolicyArtifact& artifact, PolicyBatcher* batcher,
+                                             const std::vector<std::vector<double>>& observations,
+                                             obs::ScopedSpan& step_span) {
+  std::size_t batch_rows = observations.size();
+  std::vector<std::vector<double>> logits;
+  if (batcher != nullptr) {
+    logits = batcher->infer_many(artifact, observations, &batch_rows);
+  } else {
+    const ml::Matrix out = artifact.policy.forward_batch(observations);
+    for (std::size_t r = 0; r < out.rows(); ++r) {
+      logits.emplace_back(out.row(r), out.row(r) + out.cols());
+    }
+  }
+  step_span.attr("batch_rows", static_cast<std::uint64_t>(batch_rows));
+  return logits;
+}
+
 /// Pareto-decode hypothesis: a Beam that additionally knows its measured
 /// objectives and fingerprint (every materialised beam is measured up front —
 /// dominance pruning needs real objective values, and the eval cache makes
@@ -81,8 +102,7 @@ Result<CompileResponse> serve_pareto(const PolicyArtifact& artifact,
                                      const std::vector<int>& features,
                                      const rl::EnvConfig& obs_config, int budget) {
   const ObjectiveWeights& weights = request.weights;
-  const std::size_t width = static_cast<std::size_t>(std::clamp(request.front_width, 1, 64));
-  const std::uint64_t group_key = weights_key(weights);
+  const std::size_t width = static_cast<std::size_t>(std::max(1, request.front_width));
 
   const auto t0 = Clock::now();
   AP_SPAN(serve_span, request.trace, "serve");
@@ -161,19 +181,8 @@ Result<CompileResponse> serve_pareto(const PolicyArtifact& artifact,
       observations = rl::build_observation_batch(front_modules, histograms, obs_config, features);
       for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     }
-    std::vector<std::vector<double>> logits;
-    if (batcher != nullptr) {
-      std::size_t batch_rows = 0;
-      logits = batcher->infer_many(artifact, observations, &batch_rows, group_key,
-                                   request.deadline_at);
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(batch_rows));
-    } else {
-      const ml::Matrix out = artifact.policy.forward_batch(observations);
-      for (std::size_t r = 0; r < out.rows(); ++r) {
-        logits.emplace_back(out.row(r), out.row(r) + out.cols());
-      }
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(observations.size()));
-    }
+    const std::vector<std::vector<double>> logits =
+        step_logits(artifact, batcher, observations, step_span);
 
     struct Candidate {
       std::size_t parent;
@@ -345,10 +354,27 @@ LatencyQuantiles latency_view(const obs::HistogramSnapshot& hist) {
   return q;
 }
 
+Status check_request_bounds(const CompileRequest& request) {
+  if (request.beam_width > kMaxBeams) {
+    return Status::error(strf("beam_width %d exceeds the limit of %d", request.beam_width,
+                              kMaxBeams));
+  }
+  if (request.pass_budget > kMaxPassBudget) {
+    return Status::error(strf("pass_budget %d exceeds the limit of %d", request.pass_budget,
+                              kMaxPassBudget));
+  }
+  if (request.weights.active() && request.front_width > kMaxBeams) {
+    return Status::error(strf("front_width %d exceeds the limit of %d", request.front_width,
+                              kMaxBeams));
+  }
+  return Status::ok();
+}
+
 Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
                                       const CompileRequest& request,
                                       runtime::EvalService& eval, PolicyBatcher* batcher) {
   if (request.module == nullptr) return Status::error("compile request has no module");
+  if (Status bounds = check_request_bounds(request); !bounds.is_ok()) return bounds;
   if (artifact.action_groups != 1) {
     return Status::error("serving requires a single-action policy (action_groups == 1)");
   }
@@ -451,19 +477,8 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
       observations = rl::build_observation_batch(front, histograms, obs_config, features);
       for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     }
-    std::vector<std::vector<double>> logits;
-    if (batcher != nullptr) {
-      std::size_t batch_rows = 0;
-      logits = batcher->infer_many(artifact, observations, &batch_rows, 0,
-                                   request.deadline_at);
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(batch_rows));
-    } else {
-      const ml::Matrix out = artifact.policy.forward_batch(observations);
-      for (std::size_t r = 0; r < out.rows(); ++r) {
-        logits.emplace_back(out.row(r), out.row(r) + out.cols());
-      }
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(observations.size()));
-    }
+    const std::vector<std::vector<double>> logits =
+        step_logits(artifact, batcher, observations, step_span);
 
     // Expand: per beam, its top-k actions; overall, the top-k candidates.
     // Every tiebreak is on (parent index, action index), so the expansion
@@ -616,7 +631,6 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
     : registry_(std::move(registry)),
       eval_(std::move(eval)),
       config_(config),
-      batcher_(config.batcher),
       started_(Clock::now()),
       metrics_registry_(std::make_shared<obs::MetricsRegistry>()),
       ctr_completed_(metrics_registry_->counter("serve_requests_completed")),
@@ -664,9 +678,6 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
   });
   metrics_registry_->gauge_fn("batcher_max_batch_rows", {}, [this] {
     return static_cast<double>(batcher_.stats().max_batch_rows);
-  });
-  metrics_registry_->gauge_fn("batcher_window_clamps", {}, [this] {
-    return static_cast<double>(batcher_.stats().window_clamps);
   });
   for (std::size_t i = 0; i < config_.workers; ++i) {
     pool_.submit([this] { worker_loop(); });

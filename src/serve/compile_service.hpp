@@ -49,6 +49,16 @@ inline constexpr std::size_t kNumObjectives = 3;
 /// counters (and therefore part of the scrape surface — do not rename).
 const char* objective_name(Objective objective) noexcept;
 
+/// Upper bounds on request sizes, shared by the wire decoder and
+/// serve_compile; a request above either is refused with an error, never
+/// clamped. kMaxBeams bounds `beam_width` and `front_width` (each live beam
+/// is a module clone, and the live set grows by the action arity per step
+/// until the cut). kMaxPassBudget bounds `pass_budget`: more than 5x the
+/// paper's 45-pass sequences, and short enough that no request can hold a
+/// worker for hours.
+inline constexpr int kMaxBeams = 64;
+inline constexpr int kMaxPassBudget = 256;
+
 struct CompileRequest {
   const ir::Module* module = nullptr;
   Objective objective = Objective::kCycles;
@@ -73,8 +83,7 @@ struct CompileRequest {
   /// the wire as kCompileTagDeadline (relative, so clock skew between client
   /// and server never matters); the admitting service stamps `deadline_at`
   /// from it. A queued job whose deadline passes is shed with an
-  /// "overloaded: " status instead of burning a worker, and the batcher never
-  /// holds its fold window open past a pending deadline.
+  /// "overloaded: " status instead of burning a worker.
   std::uint64_t deadline_ms = 0;
   /// Local bookkeeping: the absolute deadline, stamped at admission
   /// (submit/try_submit/compile_sync) from `deadline_ms`. Never serialized.
@@ -174,7 +183,6 @@ struct CompileServiceConfig {
   /// backpressure and cancellation deterministically.
   std::size_t workers = 4;
   std::size_t queue_capacity = 64;
-  BatcherConfig batcher{};
   /// On shutdown/destruction: finish queued requests (true) or cancel them
   /// with an error response (false).
   bool drain_on_shutdown = true;
@@ -212,6 +220,10 @@ struct TrafficSplit {
 /// backoff without poisoning the pooled connection, and ServeNode maps it to
 /// the typed kOverloaded wire reply.
 [[nodiscard]] bool is_overloaded(const Status& status) noexcept;
+
+/// Error when `request` exceeds kMaxBeams or kMaxPassBudget (front_width
+/// counts only when its weights are active, the only case it is read).
+[[nodiscard]] Status check_request_bounds(const CompileRequest& request);
 
 /// Decodes and measures one request against a resolved artifact — the shared
 /// core of the worker path and compile_sync. `batcher` is optional; without

@@ -335,6 +335,40 @@ TEST(WireCompile, CorruptWeightsFieldsRejectedAndUnknownTagsSkipped) {
   EXPECT_FALSE(skipped.value().request.weights.active());
 }
 
+TEST(WireCompile, RequestSizesOnePastTheBoundsAreRejected) {
+  auto m = progen::build_chstone_like("sha");
+  serve::CompileRequest at_bounds;
+  at_bounds.module = m.get();
+  at_bounds.model = "agent";
+  at_bounds.beam_width = serve::kMaxBeams;
+  at_bounds.pass_budget = serve::kMaxPassBudget;
+  at_bounds.weights = {1.0, 0.0, 0.0};
+  at_bounds.front_width = serve::kMaxBeams;
+  auto accepted = net::decode_compile_request(net::encode_compile_request(at_bounds));
+  ASSERT_TRUE(accepted.is_ok()) << accepted.message();
+  EXPECT_EQ(accepted.value().request.beam_width, serve::kMaxBeams);
+  EXPECT_EQ(accepted.value().request.pass_budget, serve::kMaxPassBudget);
+  EXPECT_EQ(accepted.value().request.front_width, serve::kMaxBeams);
+
+  serve::CompileRequest wide_beam = at_bounds;
+  wide_beam.beam_width = serve::kMaxBeams + 1;
+  auto beam = net::decode_compile_request(net::encode_compile_request(wide_beam));
+  ASSERT_FALSE(beam.is_ok());
+  EXPECT_NE(beam.message().find("beam_width"), std::string::npos) << beam.message();
+
+  serve::CompileRequest long_budget = at_bounds;
+  long_budget.pass_budget = serve::kMaxPassBudget + 1;
+  auto budget = net::decode_compile_request(net::encode_compile_request(long_budget));
+  ASSERT_FALSE(budget.is_ok());
+  EXPECT_NE(budget.message().find("pass_budget"), std::string::npos) << budget.message();
+
+  serve::CompileRequest wide_front = at_bounds;
+  wide_front.front_width = serve::kMaxBeams + 1;
+  auto front = net::decode_compile_request(net::encode_compile_request(wide_front));
+  ASSERT_FALSE(front.is_ok());
+  EXPECT_NE(front.message().find("corrupt weights"), std::string::npos) << front.message();
+}
+
 TEST(WireCompile, FrontFieldRoundTripsAndCorruptionIsRejected) {
   serve::CompileResponse scalar;
   scalar.module = progen::build_chstone_like("sha");

@@ -254,34 +254,69 @@ TEST(ServeRegistry, FileRoundTrip) {
 // PolicyBatcher
 // ---------------------------------------------------------------------------
 
-TEST(ServeBatcher, BatchedLogitsBitIdenticalToSingleRow) {
-  auto m = progen::build_chstone_like("sha");
-  const PolicyArtifact artifact = make_test_artifact(m.get(), tiny_env_config(), 21);
-  const std::size_t input = artifact.policy.config().input;
-
-  Rng rng(4);
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 16; ++i) {
-    std::vector<double> row(input);
+/// `count` random observation rows for `artifact`'s policy input.
+std::vector<std::vector<double>> random_rows(const PolicyArtifact& artifact, std::size_t count,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows(count, std::vector<double>(artifact.policy.config().input));
+  for (auto& row : rows) {
     for (double& v : row) v = rng.uniform();
-    rows.push_back(std::move(row));
   }
-  // Reference: each row alone through the raw net.
+  return rows;
+}
+
+/// Each row alone through the raw net: the reference every batch must match.
+std::vector<std::vector<double>> single_row_logits(const PolicyArtifact& artifact,
+                                                   const std::vector<std::vector<double>>& rows) {
   std::vector<std::vector<double>> expected;
   for (const auto& row : rows) {
     const ml::Matrix out = artifact.policy.forward_batch({row});
     expected.emplace_back(out.row(0), out.row(0) + out.cols());
   }
+  return expected;
+}
 
-  PolicyBatcher batcher({.max_batch = 8, .window = std::chrono::microseconds(500)});
+TEST(ServeBatcher, BatchedLogitsBitIdenticalToSingleRow) {
+  auto m = progen::build_chstone_like("sha");
+  const PolicyArtifact artifact = make_test_artifact(m.get(), tiny_env_config(), 21);
+  const std::vector<std::vector<double>> rows = random_rows(artifact, 16, 4);
+  const std::vector<std::vector<double>> expected = single_row_logits(artifact, rows);
+
+  // Concurrent one-row calls: whichever rows are pending when a leader runs
+  // fold into its forward.
+  PolicyBatcher batcher;
   std::vector<std::vector<double>> got(rows.size());
+  std::vector<std::size_t> rode(rows.size(), 0);
   ThreadPool pool(4);
-  pool.parallel_for(rows.size(),
-                    [&](std::size_t i) { got[i] = batcher.infer(artifact, rows[i]); });
-  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(got[i], expected[i]) << "row " << i;
+  pool.parallel_for(rows.size(), [&](std::size_t i) {
+    got[i] = batcher.infer_many(artifact, {rows[i]}, &rode[i])[0];
+  });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "row " << i;
+    EXPECT_GE(rode[i], 1u) << "row " << i;
+  }
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.rows, rows.size());
   EXPECT_GE(stats.batches, 1u);
+  EXPECT_LE(stats.max_batch_rows, 16u);
+}
+
+TEST(ServeBatcher, TwentyRowsInOneCallRunAsForwardsOfSixteenAndFour) {
+  auto m = progen::build_chstone_like("sha");
+  const PolicyArtifact artifact = make_test_artifact(m.get(), tiny_env_config(), 21);
+  const std::vector<std::vector<double>> rows = random_rows(artifact, 20, 5);
+  const std::vector<std::vector<double>> expected = single_row_logits(artifact, rows);
+
+  PolicyBatcher batcher;
+  std::size_t batch_rows = 0;
+  const std::vector<std::vector<double>> got = batcher.infer_many(artifact, rows, &batch_rows);
+  ASSERT_EQ(got.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(got[i], expected[i]) << "row " << i;
+  EXPECT_EQ(batch_rows, 16u);
+  const BatcherStats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.rows, 20u);
+  EXPECT_EQ(stats.max_batch_rows, 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -900,8 +935,6 @@ TEST(ParetoFront, DominanceLooksAtActiveObjectivesOnly) {
   // {cycles: 1} degenerates the weights to single-objective serving.
   EXPECT_FALSE(ObjectiveWeights{}.active());
   EXPECT_TRUE(cycles_only.active());
-  EXPECT_NE(weights_key(cycles_only), weights_key(both));
-  EXPECT_EQ(weights_key(both), weights_key({1.0, 0.0, 1.0}));
 }
 
 TEST(ParetoFront, InsertCollapsesDuplicatesPrunesDominatedAndBoundsWidth) {
@@ -972,6 +1005,43 @@ TEST(ParetoFront, HypervolumeExactOnKnownFronts) {
   std::vector<ParetoPoint> plus_better = stairs;
   plus_better.push_back(pareto_point(25, 0.0, 95, 4));
   EXPECT_GT(hypervolume(plus_better, reference, both), hypervolume(stairs, reference, both));
+}
+
+TEST(ServeCompile, RequestSizesAboveTheBoundsAreErrorsNotClamps) {
+  auto m = progen::build_chstone_like("sha");
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish("agent", make_test_artifact(m.get(), tiny_env_config(), 31));
+  CompileService service(registry, nullptr, {.workers = 0});
+
+  CompileRequest request;
+  request.module = m.get();
+  request.model = "agent";
+  request.weights = {1.0, 0.0, 1.0};
+  request.front_width = kMaxBeams + 1;
+  const auto wide_front = service.compile_sync(request);
+  ASSERT_FALSE(wide_front.is_ok());
+  EXPECT_NE(wide_front.message().find("front_width"), std::string::npos) << wide_front.message();
+
+  request.front_width = kMaxBeams;
+  const auto at_bound = service.compile_sync(request);
+  ASSERT_TRUE(at_bound.is_ok()) << at_bound.message();
+  EXPECT_FALSE(at_bound.value().front.empty());
+  EXPECT_LE(at_bound.value().front.size(), static_cast<std::size_t>(kMaxBeams));
+
+  CompileRequest scalar;
+  scalar.module = m.get();
+  scalar.model = "agent";
+  scalar.beam_width = kMaxBeams + 1;
+  const auto wide_beam = service.compile_sync(scalar);
+  ASSERT_FALSE(wide_beam.is_ok());
+  EXPECT_NE(wide_beam.message().find("beam_width"), std::string::npos) << wide_beam.message();
+
+  scalar.beam_width = 1;
+  scalar.objective = Objective::kFixedBudget;
+  scalar.pass_budget = kMaxPassBudget + 1;
+  const auto long_budget = service.compile_sync(scalar);
+  ASSERT_FALSE(long_budget.is_ok());
+  EXPECT_NE(long_budget.message().find("pass_budget"), std::string::npos) << long_budget.message();
 }
 
 TEST(ServePareto, WeightedRequestReturnsVerifiedNondominatedFront) {
