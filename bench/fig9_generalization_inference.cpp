@@ -28,7 +28,7 @@ class AggregateEvaluator {
   double evaluate(const std::vector<int>& seq) {
     double total = 0;
     for (const ir::Module* p : corpus_) {
-      total += static_cast<double>(rl::evaluate_sequence_on(*p, seq, cache_));
+      total += static_cast<double>(cache_.evaluate_sequence(*p, seq));
     }
     if (total < best_total_) {
       best_total_ = total;

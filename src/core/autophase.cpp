@@ -21,7 +21,7 @@ std::uint64_t o3_cycles(const ir::Module& program) {
 
 std::uint64_t cycles_with_sequence(const ir::Module& program, const std::vector<int>& sequence) {
   rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
-  return rl::evaluate_sequence_on(program, sequence, cache);
+  return cache.evaluate_sequence(program, sequence);
 }
 
 AutoPhaseResult optimize_program(const ir::Module& program, const AutoPhaseOptions& options) {

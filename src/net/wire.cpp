@@ -53,10 +53,11 @@ std::string weights_field(const serve::ObjectiveWeights& weights, int front_widt
   return field.take();
 }
 
-/// False on a corrupt field: wrong size, non-finite or negative weights, or
-/// a front width outside 1..serve::kMaxBeams. A known tag with a bad body is
-/// a hard error (the peer speaks v4 and sent garbage), unlike unknown tags
-/// which are skipped.
+/// False on a corrupt field: wrong size, or non-finite or negative weights.
+/// A known tag with a bad body is a hard error (the peer speaks v4 and sent
+/// garbage), unlike unknown tags which are skipped. The front width's range
+/// is checked with the other request sizes by serve::check_request_bounds (a
+/// width above INT_MAX arrives there negative).
 bool read_weights_field(std::string_view field, serve::ObjectiveWeights& weights,
                         int& front_width) {
   ByteReader f(field);
@@ -68,13 +69,12 @@ bool read_weights_field(std::string_view field, serve::ObjectiveWeights& weights
   for (const double w : {weights.cycles, weights.area, weights.ir_size}) {
     if (!std::isfinite(w) || w < 0.0) return false;
   }
-  if (width == 0 || width > static_cast<std::uint32_t>(serve::kMaxBeams)) return false;
   front_width = static_cast<int>(width);
   return true;
 }
 
 /// Pareto-front field body (kCompileTagFront): hypervolume + the point set
-/// in the canonical order serve_pareto returned it in.
+/// in the canonical order serve_compile returned it in.
 std::string front_field(const serve::CompileResponse& response) {
   ByteWriter field;
   field.f64(response.front_hypervolume);

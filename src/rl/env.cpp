@@ -65,11 +65,6 @@ std::uint64_t EvaluationCache::evaluate_sequence(const ir::Module& program,
   return c;
 }
 
-std::uint64_t evaluate_sequence_on(const ir::Module& program, const std::vector<int>& sequence,
-                                   EvaluationCache& cache) {
-  return cache.evaluate_sequence(program, sequence);
-}
-
 // ---------------------------------------------------------------------------
 // PhaseOrderEnv
 // ---------------------------------------------------------------------------

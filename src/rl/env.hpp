@@ -224,11 +224,6 @@ class MultiActionEnv final : public Env {
   std::vector<std::vector<int>> best_seq_;
 };
 
-/// Applies a pass sequence to a clone and returns the resulting cycles
-/// (shared by search baselines and evaluation harnesses).
-std::uint64_t evaluate_sequence_on(const ir::Module& program, const std::vector<int>& sequence,
-                                   EvaluationCache& cache);
-
 /// The observation PhaseOrderEnv produces for `module` given the RL-action
 /// histogram `histogram` (size = action arity) and the feature subset
 /// `effective_features` (Table-2 indices). Only config.observation and

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,26 +18,17 @@ namespace autophase::search {
 
 class Evaluator {
  public:
+  /// Builds a private service wired to the budget's pool.
   Evaluator(const ir::Module& program, const SearchBudget& budget)
-      : Evaluator(program, budget, nullptr) {}
-
-  /// Pass a service to share cycle estimates with other consumers — its
-  /// existing pool wiring is respected (rebinding a shared service's pool
-  /// here would race with, and dangle under, its other users). The default
-  /// builds a private service wired to the budget's pool.
-  Evaluator(const ir::Module& program, const SearchBudget& budget,
-            std::shared_ptr<runtime::EvalService> service)
       : program_(&program),
         budget_(budget),
-        service_(service ? std::move(service)
-                         : std::make_shared<runtime::EvalService>(runtime::EvalServiceConfig{
-                               .pool = budget.pool})),
+        service_(runtime::EvalServiceConfig{.pool = budget.pool}),
         program_fingerprint_(ir::module_fingerprint(program)) {}
 
   std::uint64_t evaluate(const std::vector<int>& sequence) {
     bool sampled = false;
     const std::uint64_t cycles =
-        service_->evaluate_sequence(*program_, program_fingerprint_, sequence, &sampled);
+        service_.evaluate_sequence(*program_, program_fingerprint_, sequence, &sampled);
     if (sampled) ++samples_;
     note(cycles, sequence);
     return cycles;
@@ -53,7 +43,7 @@ class Evaluator {
   /// (first-wins on ties), identical to serial evaluation.
   std::vector<std::uint64_t> evaluate_batch(std::span<const std::vector<int>> candidates) {
     const std::size_t n = std::min(candidates.size(), budget_remaining());
-    auto batch = service_->evaluate_batch(*program_, candidates.subspan(0, n));
+    auto batch = service_.evaluate_batch(*program_, candidates.subspan(0, n));
     samples_ += batch.new_samples;
     for (std::size_t i = 0; i < n; ++i) note(batch.cycles[i], candidates[i]);
     return std::move(batch.cycles);
@@ -71,7 +61,7 @@ class Evaluator {
     return r;
   }
   [[nodiscard]] std::uint64_t best_cycles() const noexcept { return best_.best_cycles; }
-  [[nodiscard]] runtime::EvalService& service() noexcept { return *service_; }
+  [[nodiscard]] runtime::EvalService& service() noexcept { return service_; }
 
  private:
   void note(std::uint64_t cycles, const std::vector<int>& sequence) {
@@ -83,7 +73,7 @@ class Evaluator {
 
   const ir::Module* program_;
   SearchBudget budget_;
-  std::shared_ptr<runtime::EvalService> service_;
+  runtime::EvalService service_;
   std::uint64_t program_fingerprint_;
   std::size_t samples_ = 0;  // simulator calls attributed to this search
   SearchResult best_;

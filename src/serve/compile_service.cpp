@@ -27,13 +27,22 @@ std::uint64_t nanos_between(Clock::time_point a, Clock::time_point b) {
 }
 
 /// One decode hypothesis: the materialised module plus the state the
-/// observation builder needs.
+/// observation builder needs. `measure` and `fingerprint` describe the
+/// module once it has been measured: when it is made for the root and every
+/// Pareto beam, at the end for a scalar finalist.
 struct Beam {
-  std::unique_ptr<ir::Module> module;
+  std::unique_ptr<ir::Module> module;  // null for a finalised Pareto parent
   std::vector<int> sequence;
   std::vector<double> histogram;
   double score = 0.0;  // cumulative policy log-probability
+  runtime::Measure measure{};
+  std::uint64_t fingerprint = 0;
 };
+
+ParetoPoint point_of(const Beam& beam) {
+  return {beam.sequence, beam.measure.cycles, beam.measure.area, beam.measure.ir_size,
+          beam.fingerprint};
+}
 
 ml::Matrix row_matrix(const std::vector<double>& v) {
   ml::Matrix m(1, v.size());
@@ -68,272 +77,6 @@ std::vector<std::vector<double>> step_logits(const PolicyArtifact& artifact, Pol
   return logits;
 }
 
-/// Pareto-decode hypothesis: a Beam that additionally knows its measured
-/// objectives and fingerprint (every materialised beam is measured up front —
-/// dominance pruning needs real objective values, and the eval cache makes
-/// re-visits free).
-struct ParetoBeam {
-  std::unique_ptr<ir::Module> module;
-  std::vector<int> sequence;
-  std::vector<double> histogram;
-  double score = 0.0;  // cumulative policy log-probability (expansion order)
-  runtime::Measure measure{};
-  std::uint64_t fingerprint = 0;
-};
-
-ParetoPoint point_of(const std::vector<int>& sequence, const runtime::Measure& measure,
-                     std::uint64_t fingerprint) {
-  return {sequence, measure.cycles, measure.area, measure.ir_size, fingerprint};
-}
-
-/// The multi-objective decode (request.weights is active). Beam expansion is
-/// the scalar algorithm with beam_width == front_width — per beam its top-k
-/// actions by logit, globally the top-k candidates by cumulative
-/// log-probability — but every materialised beam is measured, the live set
-/// is dominance-pruned per step (nondominated among the step's children,
-/// bounded, deterministic tie-break by fingerprint), and the finalists form
-/// the returned front. With front_width == 1 and one active objective this
-/// degenerates exactly — same candidate, vacuous pruning — to the scalar
-/// greedy walk, which the degeneration test pins bit-for-bit.
-Result<CompileResponse> serve_pareto(const PolicyArtifact& artifact,
-                                     const CompileRequest& request, runtime::EvalService& eval,
-                                     PolicyBatcher* batcher, const std::vector<int>& actions,
-                                     bool has_terminate, std::size_t arity,
-                                     const std::vector<int>& features,
-                                     const rl::EnvConfig& obs_config, int budget) {
-  const ObjectiveWeights& weights = request.weights;
-  const std::size_t width = static_cast<std::size_t>(std::max(1, request.front_width));
-
-  const auto t0 = Clock::now();
-  AP_SPAN(serve_span, request.trace, "serve");
-  serve_span.attr("model", artifact.name);
-  serve_span.attr("version", static_cast<std::uint64_t>(artifact.version));
-  serve_span.attr("objective", "pareto");
-  serve_span.attr("front_width", static_cast<std::uint64_t>(width));
-
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  bool ran_simulator = false;
-  const auto count_lookup = [&] { ran_simulator ? ++cache_misses : ++cache_hits; };
-
-  ParetoBeam root;
-  root.module = ir::clone_module_for_rollout(*request.module);
-  root.histogram.assign(arity, 0.0);
-  root.fingerprint = ir::module_fingerprint(*root.module);
-  root.measure = eval.measure(*root.module, root.fingerprint, &ran_simulator);
-  count_lookup();
-  // The unoptimised program is the hypervolume reference point, not a front
-  // member: the front reports what the decode produced, exactly like the
-  // scalar path never answers with the un-compiled module.
-  const runtime::Measure baseline = root.measure;
-  const ParetoPoint baseline_point = point_of({}, baseline, root.fingerprint);
-
-  const auto observe = [&](const ParetoBeam& beam) {
-    std::vector<double> obs =
-        rl::build_observation(*beam.module, beam.histogram, obs_config, features);
-    artifact.normalizer.apply(obs);
-    return obs;
-  };
-  const std::vector<double> root_observation = observe(root);
-  if (root_observation.size() != artifact.policy.config().input) {
-    return Status::error(strf("observation size %zu does not match policy input %zu",
-                              root_observation.size(), artifact.policy.config().input));
-  }
-
-  struct Finalist {
-    std::vector<int> sequence;
-    runtime::Measure measure;
-    std::uint64_t fingerprint = 0;
-  };
-  std::vector<Finalist> finalists;
-  std::vector<ParetoBeam> live;
-  live.push_back(std::move(root));
-
-  // The policy-greedy chain (argmax action from the greedy parent, every
-  // step) is pinned: exempt from the candidate cut and from dominance
-  // pruning. It is exactly the walk the scalar decode takes, so its endpoint
-  // always reaches the finalists — which is what guarantees every front
-  // scalarises at least as well as the scalar response to the same request
-  // (the bench gate `front_dominates_scalar`). Dominance pruning alone can't
-  // promise that: a sibling may dominate the greedy child mid-decode and
-  // still land on a worse endpoint.
-  constexpr std::size_t kNoBeam = static_cast<std::size_t>(-1);
-  std::size_t greedy = 0;  // index into `live` of the pinned beam
-  bool greedy_alive = true;
-
-  for (int step = 0; step < budget && !live.empty(); ++step) {
-    AP_SPAN(step_span, serve_span.context(), "decode_step");
-    step_span.attr("step", static_cast<std::uint64_t>(step));
-    step_span.attr("beams", static_cast<std::uint64_t>(live.size()));
-    std::vector<std::vector<double>> observations;
-    observations.reserve(live.size());
-    if (step == 0) {
-      observations.push_back(root_observation);
-    } else {
-      std::vector<const ir::Module*> front_modules;
-      std::vector<std::vector<double>> histograms;
-      front_modules.reserve(live.size());
-      histograms.reserve(live.size());
-      for (const ParetoBeam& beam : live) {
-        front_modules.push_back(beam.module.get());
-        histograms.push_back(beam.histogram);
-      }
-      observations = rl::build_observation_batch(front_modules, histograms, obs_config, features);
-      for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
-    }
-    const std::vector<std::vector<double>> logits =
-        step_logits(artifact, batcher, observations, step_span);
-
-    struct Candidate {
-      std::size_t parent;
-      std::size_t action;
-      double score;
-    };
-    std::vector<Candidate> candidates;
-    std::size_t greedy_action = 0;
-    for (std::size_t b = 0; b < live.size(); ++b) {
-      std::vector<std::size_t> order(arity);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-        if (logits[b][x] != logits[b][y]) return logits[b][x] > logits[b][y];
-        return x < y;
-      });
-      if (greedy_alive && b == greedy) greedy_action = order[0];
-      const std::size_t expand = std::min(width, arity);
-      for (std::size_t k = 0; k < expand; ++k) {
-        const std::size_t a = order[k];
-        candidates.push_back({b, a, live[b].score + ml::log_prob(logits[b].data(), arity, a)});
-      }
-    }
-    std::sort(candidates.begin(), candidates.end(), [](const Candidate& x, const Candidate& y) {
-      if (x.score != y.score) return x.score > y.score;
-      if (x.parent != y.parent) return x.parent < y.parent;
-      return x.action < y.action;
-    });
-    if (candidates.size() > width) candidates.resize(width);
-    if (greedy_alive) {
-      // Cumulative log-prob can rank the greedy child below the cut (greedy
-      // is only locally optimal); swap it in over the weakest survivor.
-      const bool present =
-          std::any_of(candidates.begin(), candidates.end(), [&](const Candidate& c) {
-            return c.parent == greedy && c.action == greedy_action;
-          });
-      if (!present) {
-        const double score =
-            live[greedy].score + ml::log_prob(logits[greedy].data(), arity, greedy_action);
-        candidates.back() = {greedy, greedy_action, score};
-      }
-    }
-
-    // Materialise + measure the survivors; terminate freezes the parent (its
-    // measurement happened when it was created, so this costs nothing).
-    std::vector<int> uses(live.size(), 0);
-    for (const Candidate& c : candidates) ++uses[c.parent];
-    std::vector<ParetoBeam> children;
-    std::size_t greedy_child = kNoBeam;  // index into `children` of the pinned child
-    for (const Candidate& c : candidates) {
-      const bool pinned = greedy_alive && c.parent == greedy && c.action == greedy_action;
-      if (has_terminate && c.action + 1 == arity) {
-        --uses[c.parent];  // keep steal accounting exact for later siblings
-        finalists.push_back(
-            {live[c.parent].sequence, live[c.parent].measure, live[c.parent].fingerprint});
-        if (pinned) greedy_alive = false;  // the chain's endpoint is now a finalist
-        continue;
-      }
-      if (pinned) greedy_child = children.size();
-      ParetoBeam child;
-      child.sequence = live[c.parent].sequence;
-      child.histogram = live[c.parent].histogram;
-      child.score = c.score;
-      child.fingerprint = live[c.parent].fingerprint;  // the parent's, until a pass changes it
-      child.module = --uses[c.parent] == 0 ? std::move(live[c.parent].module)
-                                           : ir::clone_module(*live[c.parent].module);
-      const int pass_index = actions[c.action];
-      if (passes::apply_pass(*child.module, pass_index)) {
-        child.fingerprint = ir::module_fingerprint(*child.module);
-      }
-      assert(child.fingerprint == ir::module_fingerprint(*child.module));
-      child.histogram[c.action] += 1.0;
-      child.sequence.push_back(pass_index);
-      child.measure = eval.measure(*child.module, child.fingerprint, &ran_simulator);
-      count_lookup();
-      children.push_back(std::move(child));
-    }
-
-    // The nondominated live set: dominance-prune the step's children against
-    // each other (duplicates collapse by fingerprint, width-bounded by
-    // scalarised eviction), then carry the surviving beams — in candidate
-    // order — into the next step.
-    std::vector<ParetoPoint> step_front;
-    for (const ParetoBeam& child : children) {
-      front_insert(step_front, point_of(child.sequence, child.measure, child.fingerprint),
-                   weights, width);
-    }
-    std::vector<ParetoBeam> next;
-    std::size_t next_greedy = kNoBeam;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      ParetoBeam& child = children[i];
-      const auto it =
-          std::find_if(step_front.begin(), step_front.end(), [&](const ParetoPoint& p) {
-            return p.fingerprint == child.fingerprint;
-          });
-      const bool pinned = greedy_alive && i == greedy_child;
-      if (it == step_front.end() && !pinned) continue;
-      if (it != step_front.end()) step_front.erase(it);  // one beam per surviving point
-      if (pinned) next_greedy = next.size();
-      next.push_back(std::move(child));
-    }
-    greedy = next_greedy;
-    greedy_alive = greedy_alive && greedy != kNoBeam;
-    step_span.attr("pruned", static_cast<std::uint64_t>(children.size() - next.size()));
-    live = std::move(next);
-  }
-  for (ParetoBeam& beam : live) {
-    finalists.push_back({std::move(beam.sequence), beam.measure, beam.fingerprint});
-  }
-
-  std::vector<ParetoPoint> front;
-  for (const Finalist& f : finalists) {
-    front_insert(front, point_of(f.sequence, f.measure, f.fingerprint), weights, width);
-  }
-  sort_front(front, weights);
-  serve_span.attr("finalists", static_cast<std::uint64_t>(finalists.size()));
-  serve_span.attr("front_size", static_cast<std::uint64_t>(front.size()));
-  serve_span.attr("cache_hits", cache_hits);
-  serve_span.attr("cache_misses", cache_misses);
-
-  // front[0] is the representative (best scalarised) point; its module is
-  // re-derived by replaying the sequence — passes are deterministic, so this
-  // is the module that was measured, and the clone is fully materialised.
-  const ParetoPoint& representative = front.front();
-  auto module = ir::clone_module_for_rollout(*request.module);
-  passes::apply_pass_sequence(*module, representative.sequence);
-  module->materialize_all();
-
-  std::uint64_t predicted = baseline.cycles;
-  if (artifact.value.has_value()) {
-    const double value = artifact.value->forward(row_matrix(root_observation)).at(0, 0);
-    const double improvement = predicted_improvement(value, artifact.spec.log_reward);
-    const double estimate = std::max(0.0, static_cast<double>(baseline.cycles) - improvement);
-    predicted = static_cast<std::uint64_t>(estimate);
-  }
-
-  CompileResponse response;
-  response.module = std::move(module);
-  response.provenance = {artifact.name,
-                         artifact.version,
-                         representative.sequence,
-                         baseline.cycles,
-                         predicted,
-                         representative.cycles,
-                         representative.area,
-                         static_cast<int>(finalists.size())};
-  response.front_hypervolume = hypervolume(front, baseline_point, weights);
-  response.front = std::move(front);
-  response.serve_nanos = nanos_between(t0, Clock::now());
-  return response;
-}
-
 }  // namespace
 
 const char* objective_name(Objective objective) noexcept {
@@ -355,18 +98,15 @@ LatencyQuantiles latency_view(const obs::HistogramSnapshot& hist) {
 }
 
 Status check_request_bounds(const CompileRequest& request) {
-  if (request.beam_width > kMaxBeams) {
-    return Status::error(strf("beam_width %d exceeds the limit of %d", request.beam_width,
-                              kMaxBeams));
+  const auto in_range = [](const char* field, int value, int limit) {
+    if (value >= 1 && value <= limit) return Status::ok();
+    return Status::error(strf("%s %d is outside 1..%d", field, value, limit));
+  };
+  if (Status s = in_range("beam_width", request.beam_width, kMaxBeams); !s.is_ok()) return s;
+  if (Status s = in_range("pass_budget", request.pass_budget, kMaxPassBudget); !s.is_ok()) {
+    return s;
   }
-  if (request.pass_budget > kMaxPassBudget) {
-    return Status::error(strf("pass_budget %d exceeds the limit of %d", request.pass_budget,
-                              kMaxPassBudget));
-  }
-  if (request.weights.active() && request.front_width > kMaxBeams) {
-    return Status::error(strf("front_width %d exceeds the limit of %d", request.front_width,
-                              kMaxBeams));
-  }
+  if (request.weights.active()) return in_range("front_width", request.front_width, kMaxBeams);
   return Status::ok();
 }
 
@@ -408,74 +148,95 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
   const rl::EnvConfig obs_config = env_config_of(artifact.spec);
 
   const int budget = request.objective == Objective::kFixedBudget
-                         ? std::max(1, request.pass_budget)
+                         ? request.pass_budget
                          : std::max(1, artifact.spec.episode_length);
-  const std::size_t beam_width = static_cast<std::size_t>(std::max(1, request.beam_width));
+  // Any weight > 0 asks for a Pareto front: front_width bounds the live set
+  // and beam_width is superseded. Weightless requests never run a Pareto
+  // step, which keeps their answers bit-identical to the scalar service.
+  const bool pareto = request.weights.active();
+  const ObjectiveWeights& weights = request.weights;
+  const std::size_t width =
+      static_cast<std::size_t>(pareto ? request.front_width : request.beam_width);
 
   if (!artifact.normalizer.identity() &&
       artifact.normalizer.mean.size() != artifact.policy.config().input) {
     return Status::error("artifact normalizer length does not match policy input");
   }
 
-  if (request.weights.active()) {
-    // Multi-objective opt-in: the Pareto decode replaces the scalar walk
-    // below (beam_width is superseded by front_width). Weightless requests
-    // never reach it, which is the bit-identity guarantee.
-    return serve_pareto(artifact, request, eval, batcher, actions, has_terminate, arity, features,
-                        obs_config, budget);
-  }
-
   const auto t0 = Clock::now();
   AP_SPAN(serve_span, request.trace, "serve");
   serve_span.attr("model", artifact.name);
   serve_span.attr("version", static_cast<std::uint64_t>(artifact.version));
-  serve_span.attr("objective", objective_name(request.objective));
-  serve_span.attr("beam_width", static_cast<std::uint64_t>(beam_width));
-  const auto observe = [&](const Beam& beam) {
-    std::vector<double> obs =
-        rl::build_observation(*beam.module, beam.histogram, obs_config, features);
-    artifact.normalizer.apply(obs);
-    return obs;
+  serve_span.attr("objective", pareto ? "pareto" : objective_name(request.objective));
+  serve_span.attr(pareto ? "front_width" : "beam_width", static_cast<std::uint64_t>(width));
+
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  const auto measure = [&](const ir::Module& module, std::uint64_t fingerprint) {
+    bool ran_simulator = false;  // eval's "was this call the one that measured"
+    const runtime::Measure m = eval.measure(module, fingerprint, &ran_simulator);
+    ran_simulator ? ++cache_misses : ++cache_hits;
+    return m;
   };
 
-  std::vector<Beam> live;
   // CoW rollout clone of the request program: the root's observation and
   // fingerprint read through to the source; bodies deep-copy only once a
   // pass mutates a beam. (Beam *children* use plain arena-backed
   // clone_module — their parents die at the end of the step, so they may
-  // not hold lazy references into them.)
-  live.push_back(
-      {ir::clone_module_for_rollout(*request.module), {}, std::vector<double>(arity, 0.0), 0.0});
-  const std::vector<double> root_observation = observe(live[0]);
-  if (root_observation.size() != artifact.policy.config().input) {
-    return Status::error(strf("observation size %zu does not match policy input %zu",
-                              root_observation.size(), artifact.policy.config().input));
-  }
+  // not hold lazy references into them.) The root's measurement is the
+  // provenance baseline and the hypervolume's reference point; the
+  // unoptimised program is never an answer itself.
+  Beam root;
+  root.module = ir::clone_module_for_rollout(*request.module);
+  root.histogram.assign(arity, 0.0);
+  root.fingerprint = ir::module_fingerprint(*root.module);
+  root.measure = measure(*root.module, root.fingerprint);
+  const runtime::Measure baseline = root.measure;
+  const ParetoPoint baseline_point = point_of(root);
 
+  std::vector<Beam> live;
+  live.push_back(std::move(root));
   std::vector<Beam> finished;
+  std::vector<double> root_observation;  // the value net's input
+
+  // Pareto only: the policy-greedy chain (argmax action from the greedy
+  // parent, every step) is pinned, exempt from the candidate cut and from
+  // dominance pruning. It is exactly the walk the scalar greedy decode
+  // takes, so its endpoint always reaches the finalists, which is what
+  // guarantees every front scalarises at least as well as the scalar
+  // response to the same request (the bench gate `front_dominates_scalar`).
+  // Dominance pruning alone can't promise that: a sibling may dominate the
+  // greedy child mid-decode and still land on a worse endpoint. The scalar
+  // beam is not pinned: it keeps the most probable sequences, and pinning
+  // would change its answers.
+  constexpr std::size_t kNoBeam = static_cast<std::size_t>(-1);
+  std::size_t greedy = 0;  // index into `live` of the pinned beam
+  bool greedy_alive = pareto;
+
   for (int step = 0; step < budget && !live.empty(); ++step) {
     AP_SPAN(step_span, serve_span.context(), "decode_step");
     step_span.attr("step", static_cast<std::uint64_t>(step));
     step_span.attr("beams", static_cast<std::uint64_t>(live.size()));
-    // One stacked forward for the whole beam front; through the batcher the
-    // rows additionally fold with other requests in flight.
-    std::vector<std::vector<double>> observations;
-    observations.reserve(live.size());
+    // Batched SoA feature extraction over the whole live set; rows are
+    // bit-identical to per-beam rl::build_observation. Then one stacked
+    // forward, which through the batcher may fold with other requests.
+    std::vector<const ir::Module*> modules;
+    std::vector<std::vector<double>> histograms;
+    modules.reserve(live.size());
+    histograms.reserve(live.size());
+    for (const Beam& beam : live) {
+      modules.push_back(beam.module.get());
+      histograms.push_back(beam.histogram);
+    }
+    std::vector<std::vector<double>> observations =
+        rl::build_observation_batch(modules, histograms, obs_config, features);
+    for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     if (step == 0) {
-      observations.push_back(root_observation);  // only the root beam exists
-    } else {
-      // Batched SoA feature extraction over the whole beam front; rows are
-      // bit-identical to per-beam observe() (same extractor, same order).
-      std::vector<const ir::Module*> front;
-      std::vector<std::vector<double>> histograms;
-      front.reserve(live.size());
-      histograms.reserve(live.size());
-      for (const Beam& beam : live) {
-        front.push_back(beam.module.get());
-        histograms.push_back(beam.histogram);
+      root_observation = observations[0];
+      if (root_observation.size() != artifact.policy.config().input) {
+        return Status::error(strf("observation size %zu does not match policy input %zu",
+                                  root_observation.size(), artifact.policy.config().input));
       }
-      observations = rl::build_observation_batch(front, histograms, obs_config, features);
-      for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     }
     const std::vector<std::vector<double>> logits =
         step_logits(artifact, batcher, observations, step_span);
@@ -489,6 +250,7 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
       double score;
     };
     std::vector<Candidate> candidates;
+    std::size_t greedy_action = 0;
     for (std::size_t b = 0; b < live.size(); ++b) {
       std::vector<std::size_t> order(arity);
       std::iota(order.begin(), order.end(), 0u);
@@ -496,7 +258,8 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
         if (logits[b][x] != logits[b][y]) return logits[b][x] > logits[b][y];
         return x < y;
       });
-      const std::size_t expand = std::min(beam_width, arity);
+      if (greedy_alive && b == greedy) greedy_action = order[0];
+      const std::size_t expand = std::min(width, arity);
       for (std::size_t k = 0; k < expand; ++k) {
         const std::size_t a = order[k];
         candidates.push_back({b, a, live[b].score + ml::log_prob(logits[b].data(), arity, a)});
@@ -507,65 +270,161 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
       if (x.parent != y.parent) return x.parent < y.parent;
       return x.action < y.action;
     });
-    if (candidates.size() > beam_width) candidates.resize(beam_width);
+    if (candidates.size() > width) candidates.resize(width);
+    if (greedy_alive) {
+      // Cumulative log-prob can rank the greedy child below the cut (greedy
+      // is only locally optimal); swap it in over the weakest survivor.
+      const bool present =
+          std::any_of(candidates.begin(), candidates.end(), [&](const Candidate& c) {
+            return c.parent == greedy && c.action == greedy_action;
+          });
+      if (!present) {
+        const double score =
+            live[greedy].score + ml::log_prob(logits[greedy].data(), arity, greedy_action);
+        candidates.back() = {greedy, greedy_action, score};
+      }
+    }
 
-    // Materialise survivors. The last candidate to use a parent steals its
-    // module instead of cloning — greedy decoding never clones after step 0.
+    // Materialise the survivors. The last candidate to take a parent's
+    // module steals it instead of cloning — greedy decoding never clones
+    // after step 0. A scalar terminate keeps a module for the final
+    // measurement; a Pareto terminate finalises its parent as it is (the
+    // parent was measured when it was made) and takes no module.
+    const auto terminates = [&](const Candidate& c) {
+      return has_terminate && c.action + 1 == arity;
+    };
     std::vector<int> uses(live.size(), 0);
-    for (const Candidate& c : candidates) ++uses[c.parent];
-    std::vector<Beam> next;
     for (const Candidate& c : candidates) {
+      if (!(pareto && terminates(c))) ++uses[c.parent];
+    }
+    std::vector<Beam> children;
+    std::size_t greedy_child = kNoBeam;  // index into `children` of the pinned child
+    for (const Candidate& c : candidates) {
+      Beam& parent = live[c.parent];
+      const bool pinned = greedy_alive && c.parent == greedy && c.action == greedy_action;
+      if (pareto && terminates(c)) {
+        finished.push_back(
+            {nullptr, parent.sequence, {}, c.score, parent.measure, parent.fingerprint});
+        if (pinned) greedy_alive = false;  // the chain's endpoint is now a finalist
+        continue;
+      }
       Beam child;
-      child.sequence = live[c.parent].sequence;
-      child.histogram = live[c.parent].histogram;
+      child.module = --uses[c.parent] == 0 ? std::move(parent.module)
+                                           : ir::clone_module(*parent.module);
+      child.sequence = parent.sequence;
+      child.histogram = parent.histogram;
       child.score = c.score;
-      child.module = --uses[c.parent] == 0 ? std::move(live[c.parent].module)
-                                           : ir::clone_module(*live[c.parent].module);
-      if (has_terminate && c.action + 1 == arity) {
+      child.fingerprint = parent.fingerprint;
+      if (terminates(c)) {
         finished.push_back(std::move(child));
         continue;
       }
+      if (pinned) greedy_child = children.size();
       const int pass_index = actions[c.action];
-      passes::apply_pass(*child.module, pass_index);
+      const bool changed = passes::apply_pass(*child.module, pass_index);
       child.histogram[c.action] += 1.0;
       child.sequence.push_back(pass_index);
-      next.push_back(std::move(child));
+      if (pareto) {
+        // Dominance pruning needs real objective values; the eval cache
+        // makes re-visits free. The fingerprint is the parent's until a
+        // pass changes the module.
+        if (changed) child.fingerprint = ir::module_fingerprint(*child.module);
+        assert(child.fingerprint == ir::module_fingerprint(*child.module));
+        child.measure = measure(*child.module, child.fingerprint);
+      }
+      children.push_back(std::move(child));
     }
-    live = std::move(next);
+
+    if (pareto) {
+      // The nondominated live set: dominance-prune the step's children
+      // against each other (duplicates collapse by fingerprint,
+      // width-bounded by scalarised eviction), then carry the surviving
+      // beams, in candidate order, and the pinned one into the next step.
+      std::vector<ParetoPoint> step_front;
+      for (const Beam& child : children) {
+        front_insert(step_front, point_of(child), weights, width);
+      }
+      std::vector<Beam> next;
+      std::size_t next_greedy = kNoBeam;
+      for (std::size_t i = 0; i < children.size(); ++i) {
+        Beam& child = children[i];
+        const auto it =
+            std::find_if(step_front.begin(), step_front.end(), [&](const ParetoPoint& p) {
+              return p.fingerprint == child.fingerprint;
+            });
+        const bool pinned = greedy_alive && i == greedy_child;
+        if (it == step_front.end() && !pinned) continue;
+        if (it != step_front.end()) step_front.erase(it);  // one beam per surviving point
+        if (pinned) next_greedy = next.size();
+        next.push_back(std::move(child));
+      }
+      greedy = next_greedy;
+      greedy_alive = greedy_alive && greedy != kNoBeam;
+      step_span.attr("pruned", static_cast<std::uint64_t>(children.size() - next.size()));
+      children = std::move(next);
+    }
+    live = std::move(children);
   }
   for (Beam& beam : live) finished.push_back(std::move(beam));
-  // Keep only the beam_width most probable finalists for measurement (early
-  // terminations can otherwise pile up finalists beyond the beam width).
-  std::stable_sort(finished.begin(), finished.end(),
-                   [](const Beam& a, const Beam& b) { return a.score > b.score; });
-  if (finished.size() > beam_width) finished.resize(beam_width);
 
-  // Rank finalists by the *measured* objective through the shared service.
-  AP_SPAN(measure_span, serve_span.context(), "measure");
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  bool ran_simulator = false;  // eval's "was this call the one that measured"
-  const auto count_lookup = [&] { ran_simulator ? ++cache_misses : ++cache_hits; };
-  const runtime::Measure baseline = eval.measure(*request.module, &ran_simulator);
-  count_lookup();
-  std::size_t best = 0;
-  double best_score = 0.0;
-  runtime::Measure best_measure;
-  for (std::size_t i = 0; i < finished.size(); ++i) {
-    const runtime::Measure m = eval.measure(*finished[i].module, &ran_simulator);
-    count_lookup();
-    const double score = request.objective == Objective::kCyclesTimesArea
-                             ? static_cast<double>(m.cycles) * m.area
-                             : static_cast<double>(m.cycles);
-    if (i == 0 || score < best_score) {
-      best = i;
-      best_score = score;
-      best_measure = m;
+  CompileResponse response;
+  std::vector<int> sequence;
+  runtime::Measure result;
+  if (!pareto) {
+    // Keep only the width most probable finalists for measurement (early
+    // terminations can otherwise pile up finalists beyond the beam width),
+    // then rank them by the *measured* objective through the shared service.
+    std::stable_sort(finished.begin(), finished.end(),
+                     [](const Beam& a, const Beam& b) { return a.score > b.score; });
+    if (finished.size() > width) finished.resize(width);
+    AP_SPAN(measure_span, serve_span.context(), "measure");
+    std::size_t best = 0;
+    double best_score = 0.0;
+    for (std::size_t i = 0; i < finished.size(); ++i) {
+      Beam& beam = finished[i];
+      beam.fingerprint = ir::module_fingerprint(*beam.module);
+      beam.measure = measure(*beam.module, beam.fingerprint);
+      const double score = request.objective == Objective::kCyclesTimesArea
+                               ? static_cast<double>(beam.measure.cycles) * beam.measure.area
+                               : static_cast<double>(beam.measure.cycles);
+      if (i == 0 || score < best_score) {
+        best = i;
+        best_score = score;
+      }
     }
+    // The counts include the root's baseline lookup.
+    measure_span.attr("finalists", static_cast<std::uint64_t>(finished.size()));
+    measure_span.attr("cache_hits", cache_hits);
+    measure_span.attr("cache_misses", cache_misses);
+    // The winner can still be CoW-lazy (an empty winning sequence never ran
+    // a pass); the response outlives the request it borrows from, so cut
+    // the tie before the module escapes.
+    Beam& winner = finished[best];
+    winner.module->materialize_all();
+    response.module = std::move(winner.module);
+    sequence = std::move(winner.sequence);
+    result = winner.measure;
+  } else {
+    std::vector<ParetoPoint> front;
+    for (const Beam& beam : finished) front_insert(front, point_of(beam), weights, width);
+    sort_front(front, weights);
+    serve_span.attr("finalists", static_cast<std::uint64_t>(finished.size()));
+    serve_span.attr("front_size", static_cast<std::uint64_t>(front.size()));
+    serve_span.attr("cache_hits", cache_hits);
+    serve_span.attr("cache_misses", cache_misses);
+    // front[0] is the representative (best scalarised) point; its module is
+    // re-derived by replaying the sequence — passes are deterministic, so
+    // this is the module that was measured, and the clone is fully
+    // materialised.
+    const ParetoPoint& representative = front.front();
+    response.module = ir::clone_module_for_rollout(*request.module);
+    passes::apply_pass_sequence(*response.module, representative.sequence);
+    response.module->materialize_all();
+    sequence = representative.sequence;
+    result = {representative.cycles, representative.area, representative.ir_size};
+    response.front_hypervolume = hypervolume(front, baseline_point, weights);
+    response.front = std::move(front);
   }
-  measure_span.attr("finalists", static_cast<std::uint64_t>(finished.size()));
-  measure_span.attr("cache_hits", cache_hits);
-  measure_span.attr("cache_misses", cache_misses);
 
   std::uint64_t predicted = baseline.cycles;
   if (artifact.value.has_value()) {
@@ -575,19 +434,13 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
     predicted = static_cast<std::uint64_t>(estimate);
   }
 
-  // The winner can still be CoW-lazy (an empty winning sequence never ran a
-  // pass); the response outlives the request it borrows from, so cut the
-  // tie before the module escapes.
-  finished[best].module->materialize_all();
-  CompileResponse response;
-  response.module = std::move(finished[best].module);
   response.provenance = {artifact.name,
                          artifact.version,
-                         std::move(finished[best].sequence),
+                         std::move(sequence),
                          baseline.cycles,
                          predicted,
-                         best_measure.cycles,
-                         best_measure.area,
+                         result.cycles,
+                         result.area,
                          static_cast<int>(finished.size())};
   response.serve_nanos = nanos_between(t0, Clock::now());
   return response;

@@ -1,8 +1,12 @@
 // Phase-ordering-as-a-service: accepts compile requests (a module + an
-// objective), decodes a pass sequence from a registered policy (greedy or
-// top-k beam over policy log-probability), measures the result through the
-// shared runtime::EvalService, and returns the optimized module with a
-// provenance record. Requests flow through a bounded priority queue into a
+// objective), decodes a pass sequence from a registered policy, measures the
+// result through the shared runtime::EvalService, and returns the optimized
+// module with a provenance record. One beam decoder serves every request:
+// greedy is a beam of width 1, and a request with objective weights runs
+// the same beam with two Pareto steps plugged in (each step's children are
+// measured and dominance-pruned; the finalists form the returned front)
+// instead of the scalar end (the most probable finalists measured, best by
+// the objective). Requests flow through a bounded priority queue into a
 // worker pool whose policy forwards are folded across requests by a
 // PolicyBatcher; overflow produces backpressure instead of unbounded memory.
 // Decoding is deterministic — no RNG anywhere on the serve path — so the
@@ -50,7 +54,7 @@ inline constexpr std::size_t kNumObjectives = 3;
 const char* objective_name(Objective objective) noexcept;
 
 /// Upper bounds on request sizes, shared by the wire decoder and
-/// serve_compile; a request above either is refused with an error, never
+/// serve_compile; a request outside 1..bound is refused with an error, never
 /// clamped. kMaxBeams bounds `beam_width` and `front_width` (each live beam
 /// is a module clone, and the live set grows by the action arity per step
 /// until the cut). kMaxPassBudget bounds `pass_budget`: more than 5x the
@@ -221,8 +225,9 @@ struct TrafficSplit {
 /// the typed kOverloaded wire reply.
 [[nodiscard]] bool is_overloaded(const Status& status) noexcept;
 
-/// Error when `request` exceeds kMaxBeams or kMaxPassBudget (front_width
-/// counts only when its weights are active, the only case it is read).
+/// Error unless `beam_width` and `front_width` lie in 1..kMaxBeams and
+/// `pass_budget` in 1..kMaxPassBudget (front_width counts only when its
+/// weights are active, the only case it is read).
 [[nodiscard]] Status check_request_bounds(const CompileRequest& request);
 
 /// Decodes and measures one request against a resolved artifact — the shared

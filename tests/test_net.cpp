@@ -307,8 +307,9 @@ TEST(WireCompile, CorruptWeightsFieldsRejectedAndUnknownTagsSkipped) {
   request.model = "agent";
   const std::string scalar_bytes = net::encode_compile_request(request);
 
-  // A known tag with a bad body is a hard error: negative weight,
-  // out-of-range front width, and a short field all bounce.
+  // A known tag with a bad body is a hard error: negative weight and a
+  // short field both bounce. An out-of-range front width bounces with the
+  // other request sizes, naming the field.
   request.weights = {1.0, -0.5, 0.0};
   auto negative = net::decode_compile_request(net::encode_compile_request(request));
   ASSERT_FALSE(negative.is_ok());
@@ -319,7 +320,7 @@ TEST(WireCompile, CorruptWeightsFieldsRejectedAndUnknownTagsSkipped) {
   request.front_width = 0;
   auto zero_width = net::decode_compile_request(net::encode_compile_request(request));
   ASSERT_FALSE(zero_width.is_ok());
-  EXPECT_NE(zero_width.message().find("corrupt weights"), std::string::npos);
+  EXPECT_NE(zero_width.message().find("front_width"), std::string::npos) << zero_width.message();
 
   serve::ByteWriter short_field;
   short_field.u8(net::kCompileTagWeights);
@@ -350,23 +351,29 @@ TEST(WireCompile, RequestSizesOnePastTheBoundsAreRejected) {
   EXPECT_EQ(accepted.value().request.pass_budget, serve::kMaxPassBudget);
   EXPECT_EQ(accepted.value().request.front_width, serve::kMaxBeams);
 
-  serve::CompileRequest wide_beam = at_bounds;
-  wide_beam.beam_width = serve::kMaxBeams + 1;
-  auto beam = net::decode_compile_request(net::encode_compile_request(wide_beam));
-  ASSERT_FALSE(beam.is_ok());
-  EXPECT_NE(beam.message().find("beam_width"), std::string::npos) << beam.message();
-
-  serve::CompileRequest long_budget = at_bounds;
-  long_budget.pass_budget = serve::kMaxPassBudget + 1;
-  auto budget = net::decode_compile_request(net::encode_compile_request(long_budget));
-  ASSERT_FALSE(budget.is_ok());
-  EXPECT_NE(budget.message().find("pass_budget"), std::string::npos) << budget.message();
-
-  serve::CompileRequest wide_front = at_bounds;
-  wide_front.front_width = serve::kMaxBeams + 1;
-  auto front = net::decode_compile_request(net::encode_compile_request(wide_front));
-  ASSERT_FALSE(front.is_ok());
-  EXPECT_NE(front.message().find("corrupt weights"), std::string::npos) << front.message();
+  // One past the upper bound, zero and negative are each refused, naming
+  // the field, before the module is deserialized.
+  for (const int beam_width : {serve::kMaxBeams + 1, 0, -1}) {
+    serve::CompileRequest wide_beam = at_bounds;
+    wide_beam.beam_width = beam_width;
+    auto beam = net::decode_compile_request(net::encode_compile_request(wide_beam));
+    ASSERT_FALSE(beam.is_ok()) << beam_width;
+    EXPECT_NE(beam.message().find("beam_width"), std::string::npos) << beam.message();
+  }
+  for (const int pass_budget : {serve::kMaxPassBudget + 1, 0, -1}) {
+    serve::CompileRequest long_budget = at_bounds;
+    long_budget.pass_budget = pass_budget;
+    auto budget = net::decode_compile_request(net::encode_compile_request(long_budget));
+    ASSERT_FALSE(budget.is_ok()) << pass_budget;
+    EXPECT_NE(budget.message().find("pass_budget"), std::string::npos) << budget.message();
+  }
+  for (const int front_width : {serve::kMaxBeams + 1, 0, -1}) {
+    serve::CompileRequest wide_front = at_bounds;
+    wide_front.front_width = front_width;
+    auto front = net::decode_compile_request(net::encode_compile_request(wide_front));
+    ASSERT_FALSE(front.is_ok()) << front_width;
+    EXPECT_NE(front.message().find("front_width"), std::string::npos) << front.message();
+  }
 }
 
 TEST(WireCompile, FrontFieldRoundTripsAndCorruptionIsRejected) {

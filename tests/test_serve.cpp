@@ -8,14 +8,17 @@
 #include <vector>
 
 #include "ir/printer.hpp"
+#include "net/wire.hpp"
 #include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
+#include "progen/random_program.hpp"
 #include "rl/env.hpp"
 #include "rl/ppo.hpp"
 #include "serve/batcher.hpp"
 #include "serve/compile_service.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/serialization.hpp"
+#include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 
 namespace autophase::serve {
@@ -1013,14 +1016,18 @@ TEST(ServeCompile, RequestSizesAboveTheBoundsAreErrorsNotClamps) {
   registry->publish("agent", make_test_artifact(m.get(), tiny_env_config(), 31));
   CompileService service(registry, nullptr, {.workers = 0});
 
+  // One past the upper bound, zero and negative are each an error naming
+  // the field; none is clamped into range.
   CompileRequest request;
   request.module = m.get();
   request.model = "agent";
   request.weights = {1.0, 0.0, 1.0};
-  request.front_width = kMaxBeams + 1;
-  const auto wide_front = service.compile_sync(request);
-  ASSERT_FALSE(wide_front.is_ok());
-  EXPECT_NE(wide_front.message().find("front_width"), std::string::npos) << wide_front.message();
+  for (const int front_width : {kMaxBeams + 1, 0, -1}) {
+    request.front_width = front_width;
+    const auto bad_front = service.compile_sync(request);
+    ASSERT_FALSE(bad_front.is_ok()) << front_width;
+    EXPECT_NE(bad_front.message().find("front_width"), std::string::npos) << bad_front.message();
+  }
 
   request.front_width = kMaxBeams;
   const auto at_bound = service.compile_sync(request);
@@ -1031,17 +1038,22 @@ TEST(ServeCompile, RequestSizesAboveTheBoundsAreErrorsNotClamps) {
   CompileRequest scalar;
   scalar.module = m.get();
   scalar.model = "agent";
-  scalar.beam_width = kMaxBeams + 1;
-  const auto wide_beam = service.compile_sync(scalar);
-  ASSERT_FALSE(wide_beam.is_ok());
-  EXPECT_NE(wide_beam.message().find("beam_width"), std::string::npos) << wide_beam.message();
+  for (const int beam_width : {kMaxBeams + 1, 0, -1}) {
+    scalar.beam_width = beam_width;
+    const auto bad_beam = service.compile_sync(scalar);
+    ASSERT_FALSE(bad_beam.is_ok()) << beam_width;
+    EXPECT_NE(bad_beam.message().find("beam_width"), std::string::npos) << bad_beam.message();
+  }
 
   scalar.beam_width = 1;
   scalar.objective = Objective::kFixedBudget;
-  scalar.pass_budget = kMaxPassBudget + 1;
-  const auto long_budget = service.compile_sync(scalar);
-  ASSERT_FALSE(long_budget.is_ok());
-  EXPECT_NE(long_budget.message().find("pass_budget"), std::string::npos) << long_budget.message();
+  for (const int pass_budget : {kMaxPassBudget + 1, 0, -1}) {
+    scalar.pass_budget = pass_budget;
+    const auto bad_budget = service.compile_sync(scalar);
+    ASSERT_FALSE(bad_budget.is_ok()) << pass_budget;
+    EXPECT_NE(bad_budget.message().find("pass_budget"), std::string::npos)
+        << bad_budget.message();
+  }
 }
 
 TEST(ServePareto, WeightedRequestReturnsVerifiedNondominatedFront) {
@@ -1133,6 +1145,101 @@ TEST(ServePareto, WidthOneSingleObjectiveDegeneratesToScalarGreedy) {
             scalar_response.value().provenance.measured_cycles);
   EXPECT_EQ(ir::module_fingerprint(*pareto_response.value().module),
             ir::module_fingerprint(*scalar_response.value().module));
+}
+
+// ---------------------------------------------------------------------------
+// Golden decode digest
+// ---------------------------------------------------------------------------
+
+/// One FNV-1a digest over every decode branch the service has: greedy, beam
+/// 4 under both measured objectives, a pass budget, and Pareto fronts of
+/// width 1 and 4 under three weight vectors (the serve_remote ledger's),
+/// each for two chstone kernels and two random programs, through a
+/// features-only policy with the terminate action and a features + histogram
+/// policy without it. Each response contributes its identity bytes
+/// (provenance, module, front) and the eval cache's hit/miss/sample deltas
+/// of serving it, so a decoder change that moves a single lookup shows.
+TEST(ServeDecode, GoldenDigestOverEveryDecodeBranch) {
+  std::vector<std::unique_ptr<ir::Module>> programs;
+  programs.push_back(progen::build_chstone_like("sha"));
+  programs.push_back(progen::build_chstone_like("qsort"));
+  programs.push_back(progen::generate_filtered_program(11));
+  programs.push_back(progen::generate_filtered_program(29));
+
+  rl::EnvConfig terminate_cfg = tiny_env_config();
+  terminate_cfg.episode_length = 5;
+  terminate_cfg.include_terminate = true;
+  terminate_cfg.observation = rl::ObservationMode::kProgramFeatures;
+  terminate_cfg.normalization = rl::NormalizationMode::kLog;
+  rl::EnvConfig features_cfg = tiny_env_config();
+  features_cfg.observation = rl::ObservationMode::kBoth;
+  features_cfg.normalization = rl::NormalizationMode::kLog;
+  auto registry = std::make_shared<ModelRegistry>();
+  // An untrained policy's terminate logit hardly ever wins; raising its
+  // output bias (the last parameter) lets it compete with the passes, at the
+  // root for some programs and after a pass for others.
+  PolicyArtifact terminating = make_test_artifact(programs[0].get(), terminate_cfg, 5);
+  std::vector<double> parameters = terminating.policy.flatten();
+  parameters.back() += 3.5;
+  terminating.policy.assign(parameters);
+  registry->publish("terminate", std::move(terminating));
+  registry->publish("features", make_test_artifact(programs[1].get(), features_cfg, 7));
+  auto eval = std::make_shared<runtime::EvalService>();
+  CompileService service(registry, eval, {.workers = 0});
+
+  std::vector<CompileRequest> shapes(4);
+  shapes[1].beam_width = 4;
+  shapes[2].beam_width = 4;
+  shapes[2].objective = Objective::kCyclesTimesArea;
+  shapes[3].objective = Objective::kFixedBudget;
+  shapes[3].pass_budget = 3;
+  const ObjectiveWeights ledger_weights[] = {{1.0, 0.0, 0.1}, {1.0, 0.5, 0.0}, {1.0, 0.2, 0.2}};
+  for (const int width : {1, 4}) {
+    for (const ObjectiveWeights& weights : ledger_weights) {
+      CompileRequest pareto;
+      pareto.weights = weights;
+      pareto.front_width = width;
+      shapes.push_back(pareto);
+    }
+  }
+
+  std::uint64_t digest = kFnvOffset;
+  std::size_t scalar_terminated = 0;  // answers shorter than the decode budget
+  std::size_t pareto_terminated = 0;  // front points shorter than the budget
+  for (const char* model : {"terminate", "features"}) {
+    for (const auto& program : programs) {
+      for (CompileRequest request : shapes) {
+        request.module = program.get();
+        request.model = model;
+        const runtime::EvalStats before = eval->stats();
+        const std::size_t samples_before = eval->samples();
+        const auto response = service.compile_sync(request);
+        ASSERT_TRUE(response.is_ok()) << response.message();
+        const runtime::EvalStats after = eval->stats();
+        digest = fnv1a(net::response_identity_bytes(response.value()), digest);
+        const std::string counts = std::to_string(after.hits - before.hits) + "/" +
+                                   std::to_string(after.misses - before.misses) + "/" +
+                                   std::to_string(eval->samples() - samples_before);
+        digest = fnv1a(counts, digest);
+
+        if (std::string(model) != "terminate") continue;
+        const std::size_t budget = request.objective == Objective::kFixedBudget
+                                       ? static_cast<std::size_t>(request.pass_budget)
+                                       : static_cast<std::size_t>(terminate_cfg.episode_length);
+        if (request.weights.active()) {
+          for (const ParetoPoint& p : response.value().front) {
+            if (p.sequence.size() < budget) ++pareto_terminated;
+          }
+        } else if (response.value().provenance.sequence.size() < budget) {
+          ++scalar_terminated;
+        }
+      }
+    }
+  }
+  // Both terminate branches ran, so the digest pins them too.
+  EXPECT_GT(scalar_terminated, 0u);
+  EXPECT_GT(pareto_terminated, 0u);
+  EXPECT_EQ(digest, 0x4ba0a189032c4170ULL) << std::hex << digest;
 }
 
 }  // namespace
